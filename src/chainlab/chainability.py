@@ -1,17 +1,17 @@
-"""Chainability decisions, kernel search, ages and profiles.
+"""Chainability decisions, chaining-order search, kernels, ages and profiles.
 
 A structure is chainable over a frozen set F with respect to a linear order
 on the complement when every order-increasing partial injection of the
-complement, extended by the identity on F, is a partial automorphism of the
-structure.
+complement, extended by the identity on F, is a partial automorphism.
 
-Quantifying over *all* increasing partial injections is factorially large, so
-the decision procedure uses an arity-bound reduction: relation preservation
-is checked tuple by tuple, a tuple touches at most max-arity distinct
-non-frozen elements, and any violating map restricts to a violating map of
-that bounded size.  Hence it suffices to test maps whose domain has at most
-max-arity elements.  The reduction is guarded by an exhaustive equivalence
-suite against the full-quantification oracle (see verify.py).
+The decision ``is_chainable_with`` tests maps with at most max-arity sources:
+a tuple touches at most that many non-frozen elements, so every violating map
+restricts to one of them.  verify.py checks it against the full oracle.
+
+The search ``iter_chain_orders`` (behind ``find_chain_order``, ``kernel`` and
+``gpw.enumerate_chaining_orders``) tests type purity instead: an order chains
+the structure exactly when, for each j up to the largest arity, all its
+j-subsets have one quantifier-free type over F (Fraisse; Frasnay).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import Companion, Structure, companion_structure, induced_substructure
 from .errors import DomainError, UnsupportedSizeError
@@ -104,12 +104,9 @@ def is_chainable_with(y: Structure, w: ChainWitness) -> bool:
     Structures over the empty signature are chainable with any witness.
     """
     _validate_witness(y, w)
-    bound = y.sig.max_arity()
-    if bound == 0:
-        return True
     rest = w.rest_order
     base = {a: a for a in w.f_set}
-    for posmap in _increasing_position_maps(len(rest), min(bound, len(rest))):
+    for posmap in _increasing_position_maps(len(rest), min(y.sig.max_arity(), len(rest))):
         mapping = dict(base)
         for s, t in posmap:
             mapping[rest[s]] = rest[t]
@@ -118,62 +115,70 @@ def is_chainable_with(y: Structure, w: ChainWitness) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _frontier_position_maps(
-    length: int, max_size: int
-) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The subset of _increasing_position_maps(length, max_size) touching the
-    last position.  During backtracking only these can newly fail."""
-    last = length - 1
-    return tuple(
-        pm
-        for pm in _increasing_position_maps(length, max_size)
-        if any(s == last or t == last for s, t in pm)
-    )
-
-
-def find_chain_order(y: Structure, f_set: Iterable[int]) -> tuple[int, ...] | None:
-    """First complement order (in backtracking order over ascending
-    elements) that chains ``y`` over ``f_set``, or None.
-
-    A prefix is abandoned as soon as some bounded-size increasing map inside
-    it breaks preservation; relative order survives extension, so pruned
-    prefixes cannot recover.
-    """
+def _split_domain(y: Structure, f_set: Iterable[int]) -> tuple[frozenset[int], list[int]]:
+    """The frozen set and its ascending complement, or DomainError."""
     f = frozenset(int(x) for x in f_set)
     if not f <= set(range(y.size)):
         raise DomainError(f"f_set {sorted(f)} leaves the domain of size {y.size}")
-    rest = sorted(set(range(y.size)) - f)
-    bound = y.sig.max_arity()
-    if bound == 0:
-        return tuple(rest)
-    base = {a: a for a in f}
+    return f, sorted(set(range(y.size)) - f)
 
-    def prefix_ok(prefix: list[int]) -> bool:
-        for posmap in _frontier_position_maps(len(prefix), min(bound, len(prefix))):
-            mapping = dict(base)
-            for s, t in posmap:
-                mapping[prefix[s]] = prefix[t]
-            if not _preserves(y, mapping):
-                return False
-        return True
+
+def iter_chain_orders(y: Structure, f_set: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """Every complement order chaining ``y`` over ``f_set``, lexicographically.
+
+    Backtracks over the ascending remaining elements.  The prefix may grow by
+    ``e`` when every j-subset of it containing ``e`` (j up to the largest
+    arity), read in prefix order, has the type of the first j prefix elements:
+    the memberships of every arity-length word over F and the j elements that
+    uses all j of them.  A failing prefix cannot recover.
+    """
+    f, rest = _split_domain(y, f_set)
+    fixed = tuple(sorted(f))
+    bound = min(y.sig.max_arity(), len(rest))
+    n = len(fixed)
+    words = {  # j -> (relation, index word into fixed + j elements using all j)
+        j: [
+            (rel, w)
+            for (_, ar), rel in zip(y.sig.symbols, y.relations)
+            for w in itertools.product(range(n + j), repeat=ar)
+            if len(set(w) - set(range(n))) == j
+        ]
+        for j in range(1, bound + 1)
+    }
+    types: dict[tuple[int, ...], tuple[bool, ...]] = {}
+
+    def type_of(els: tuple[int, ...]) -> tuple[bool, ...]:
+        if els not in types:
+            vals = fixed + els
+            types[els] = tuple(tuple(vals[i] for i in w) in rel for rel, w in words[len(els)])
+        return types[els]
 
     prefix: list[int] = []
-    remaining = rest
 
-    def extend(remaining: list[int]) -> bool:
+    def pure() -> bool:
+        head, e = tuple(prefix[:-1]), prefix[-1]
+        for j in range(1, min(bound, len(prefix)) + 1):
+            first = type_of(tuple(prefix[:j]))
+            for sub in itertools.combinations(head, j - 1):
+                if type_of(sub + (e,)) != first:
+                    return False
+        return True
+
+    def extend(remaining: list[int]) -> Iterator[tuple[int, ...]]:
         if not remaining:
-            return True
+            yield tuple(prefix)
         for i, e in enumerate(remaining):
             prefix.append(e)
-            if prefix_ok(prefix) and extend(remaining[:i] + remaining[i + 1 :]):
-                return True
+            if pure():
+                yield from extend(remaining[:i] + remaining[i + 1 :])
             prefix.pop()
-        return False
 
-    if extend(remaining):
-        return tuple(prefix)
-    return None
+    yield from extend(rest)
+
+
+def find_chain_order(y: Structure, f_set: Iterable[int]) -> tuple[int, ...] | None:
+    """The first result of iter_chain_orders, or None."""
+    return next(iter_chain_orders(y, f_set), None)
 
 
 def kernel(y: Structure, max_f: int) -> KernelReport:
@@ -183,6 +188,8 @@ def kernel(y: Structure, max_f: int) -> KernelReport:
     All sets of the winning size are reported (finite structures may have
     several minimal sets) with one witness order each, sorted by set.
     """
+    if max_f < 0:
+        raise DomainError("max_f must be non-negative")
     if max_f > y.size:
         raise DomainError("max_f exceeds the domain size")
     for size in range(max_f + 1):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, ParseError
@@ -209,16 +210,14 @@ class Companion:
         return tuple(e for e in self.order if e not in cs)
 
 
+# Entries kept by each memo table (position tables here, canonical forms in
+# morphism): room for a corpus sweep's working set, bounded in long runs.
+CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def _positions(x: Companion) -> dict[int, int]:
-    # Companion is frozen, so the lookup table is cached per value.
-    cached = _POSITION_CACHE.get(x)
-    if cached is None:
-        cached = {e: i for i, e in enumerate(x.order)}
-        _POSITION_CACHE[x] = cached
-    return cached
-
-
-_POSITION_CACHE: dict[Companion, dict[int, int]] = {}
+    return {e: i for i, e in enumerate(x.order)}
 
 
 def companion_structure(

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .chainability import ChainWitness, is_chainable_with
+from .chainability import _split_domain, iter_chain_orders
 from .core import Structure
 from .errors import DomainError, UnsupportedSizeError
 
@@ -88,24 +88,16 @@ class GpwClassification:
 
 
 def enumerate_chaining_orders(y: Structure, f_set: Iterable[int]) -> ChainOrderFamily:
-    """Filter every arrangement of the complement of ``f_set`` through the
-    chainability decision.  Factorial enumeration, capped at complement size
-    8; the resulting orders are listed lexicographically."""
-    f = frozenset(int(x) for x in f_set)
-    if not f <= set(range(y.size)):
-        raise DomainError(f"f_set {sorted(f)} leaves the domain of size {y.size}")
-    rest = sorted(set(range(y.size)) - f)
+    """Every complement order of ``f_set`` that chains ``y``, listed
+    lexicographically, from the type-purity search of iter_chain_orders.
+    Capped at complement size 8."""
+    f, rest = _split_domain(y, f_set)
     if len(rest) > ENUMERATION_REST_CAP:
         raise UnsupportedSizeError(
             f"enumerating {len(rest)}! orders exceeds the cap of "
             f"{ENUMERATION_REST_CAP}! candidates"
         )
-    orders = tuple(
-        order
-        for order in itertools.permutations(rest)
-        if is_chainable_with(y, ChainWitness(f, order))
-    )
-    return ChainOrderFamily(f, orders)
+    return ChainOrderFamily(f, tuple(iter_chain_orders(y, f)))
 
 
 def rotation_closure(base: Sequence[int]) -> frozenset[tuple[int, ...]]:

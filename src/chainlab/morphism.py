@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .core import Structure
+from .core import CACHE_SIZE, Structure
 from .errors import DomainError, UnsupportedSizeError
 
 CANONICAL_SIZE_CAP = 8
@@ -156,7 +156,7 @@ def canonical_form(y: Structure) -> CanonicalForm:
     return _canonical_form_cached(y)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _canonical_form_cached(y: Structure) -> CanonicalForm:
     best = None
     for perm in itertools.permutations(range(y.size)):

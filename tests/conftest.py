@@ -11,17 +11,22 @@ from chainlab import corpus
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
-    """Run ``python -m chainlab.cli`` with ``args`` from the golden directory.
-
-    The child's PYTHONPATH starts with the absolute directory holding the
-    chainlab this process imported, so it imports the same package from any
-    working directory, installed or not."""
+def child_env() -> dict[str, str]:
+    """The environment for a child Python process: PYTHONPATH starts with
+    the absolute directory holding the chainlab this process imported, so
+    the child imports the same package from any working directory,
+    installed or not."""
     env = dict(os.environ)
     src = str(Path(chainlab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return env
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python -m chainlab.cli`` with ``args`` from the golden directory,
+    in the child_env environment."""
     cmd = [sys.executable, "-m", "chainlab.cli", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, cwd=GOLDEN, env=env)
+    return subprocess.run(cmd, capture_output=True, text=True, cwd=GOLDEN, env=child_env())
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -15,9 +16,26 @@ from chainlab.chainability import (
     kernel,
     profile,
 )
-from chainlab.core import structure
+from chainlab.core import signature, structure
 from chainlab.errors import DomainError, UnsupportedSizeError
-from chainlab.verify import all_witnesses, chainable_full
+from chainlab.logic import apply_definitions
+from chainlab.verify import all_witnesses, chainable_full, random_companion, random_definition_set
+
+
+def brute_force_kernel(y, max_f):
+    """Kernel search with the first order of each frozen set taken from the
+    itertools.permutations filter through is_chainable_with."""
+    for size in range(max_f + 1):
+        found = []
+        for f in itertools.combinations(range(y.size), size):
+            rest = sorted(set(range(y.size)) - set(f))
+            witnesses = (ChainWitness(frozenset(f), p) for p in itertools.permutations(rest))
+            first = next((w.rest_order for w in witnesses if is_chainable_with(y, w)), None)
+            if first is not None:
+                found.append((f, first))
+        if found:
+            return size, tuple(found)
+    return None, ()
 
 
 class TestIsChainableWith:
@@ -135,6 +153,19 @@ class TestKernel:
     def test_bound_above_domain_rejected(self, c5):
         with pytest.raises(DomainError):
             kernel(c5, 6)
+
+    def test_negative_bound_rejected(self, c5):
+        with pytest.raises(DomainError):
+            kernel(c5, -1)
+
+    def test_matches_brute_force_on_planted_structures(self):
+        rng = random.Random(7)
+        for symbols, k in [([("E", 2)], 2), ([("E", 2), ("U", 1)], 1), ([("C", 3)], 2)]:
+            sig = signature(symbols)
+            x = random_companion(rng, 7, k)
+            y = apply_definitions(x, random_definition_set(rng, x, sig), sig)
+            report = kernel(y, k)
+            assert (report.min_size, report.minimal_sets) == brute_force_kernel(y, k)
 
     def test_json_shape(self, c5):
         doc = kernel(c5, 4).to_dict()

@@ -17,6 +17,11 @@ class TestExitCodes:
         assert doc["error"] == "not_simply_definable"
         assert doc["witnesses"] == [[0, 1], [0, 2]]
 
+    def test_negative_kernel_bound_is_domain_error(self):
+        result = run_cli("kernel", "--structure", "c5.json", "--max-f", "-1")
+        assert result.returncode == 1
+        assert json.loads(result.stdout)["error"] == "domain_error"
+
     def test_parse_error_is_two(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")

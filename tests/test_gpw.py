@@ -5,7 +5,7 @@ import random
 import pytest
 
 from chainlab import corpus
-from chainlab.chainability import ChainWitness, is_chainable_with
+from chainlab.chainability import ChainWitness, find_chain_order, is_chainable_with
 from chainlab.core import structure
 from chainlab.errors import DomainError, UnsupportedSizeError
 from chainlab.gpw import (
@@ -29,7 +29,7 @@ class TestEnumeration:
         rotations = {tuple((i + s) % 5 for i in range(5)) for s in range(5)}
         assert set(fam.orders) == rotations | {tuple(reversed(o)) for o in rotations}
 
-    @pytest.mark.parametrize("m", [4, 6])
+    @pytest.mark.parametrize("m", [4, 6, 8])
     def test_cyclic_orders_give_rotation_families(self, m):
         fam = enumerate_chaining_orders(corpus.cyclic_order_structure(m), [])
         assert len(fam.orders) == 2 * m
@@ -43,6 +43,27 @@ class TestEnumeration:
         fam = enumerate_chaining_orders(pentagon, [])
         for order in fam.orders:
             assert is_chainable_with(pentagon, ChainWitness(fam.f_set, order))
+
+    def test_matches_permutation_filter(self):
+        # The type-purity search lists exactly the arrangements that pass the
+        # map-based decision, in itertools.permutations order.
+        sample = random.Random(3).sample(corpus.all_binary_structures(4), 100)
+        ternary = [corpus.cyclic_order_structure(5)]
+        for y in corpus.all_binary_structures(3) + sample + ternary:
+            for size in range(y.size + 1):
+                for f in itertools.combinations(range(y.size), size):
+                    rest = sorted(set(range(y.size)) - set(f))
+                    want = tuple(
+                        p
+                        for p in itertools.permutations(rest)
+                        if is_chainable_with(y, ChainWitness(frozenset(f), p))
+                    )
+                    assert enumerate_chaining_orders(y, f).orders == want
+                    assert find_chain_order(y, f) == (want[0] if want else None)
+
+    def test_cyclic_order_on_eight_over_a_point(self):
+        fam = enumerate_chaining_orders(corpus.cyclic_order_structure(8), [0])
+        assert fam.orders == ((1, 2, 3, 4, 5, 6, 7), (7, 6, 5, 4, 3, 2, 1))
 
     def test_rest_cap_enforced(self):
         with pytest.raises(UnsupportedSizeError):
