@@ -55,6 +55,7 @@ from .formulas import (
     eval_formula,
     format_formula,
     free_variables,
+    map_atoms,
     parse_formula,
 )
 from .gpw import (
@@ -87,6 +88,7 @@ from .morphism import (
     enumerate_partial_automorphisms,
     find_isomorphism,
     is_partial_automorphism,
+    substructure_forms,
 )
 
 __version__ = "0.1.0"

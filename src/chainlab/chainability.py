@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 
 from .core import Companion, Structure, companion_structure, induced_substructure
 from .errors import DomainError, UnsupportedSizeError
-from .morphism import CanonicalForm, _preserves, canonical_form
+from .morphism import CanonicalForm, _preserves, substructure_forms
 
 
 @dataclass(frozen=True, slots=True)
@@ -225,10 +225,7 @@ def profile(y: Structure, up_to: int) -> ProfileReport:
     values = []
     forms_per_n = []
     for n in range(1, up_to + 1):
-        forms = {
-            canonical_form(induced_substructure(y, h))
-            for h in itertools.combinations(range(y.size), n)
-        }
+        forms = set(substructure_forms(y, n).values())
         values.append(len(forms))
         forms_per_n.append(tuple(sorted(forms)))
     return ProfileReport(tuple(values), tuple(forms_per_n))
@@ -240,10 +237,7 @@ def age_forms(y: Structure, n: int) -> frozenset[CanonicalForm]:
         raise DomainError(f"age size {n} out of range for domain of size {y.size}")
     if n > 8:
         raise UnsupportedSizeError("age computation capped at substructure size 8")
-    return frozenset(
-        canonical_form(induced_substructure(y, h))
-        for h in itertools.combinations(range(y.size), n)
-    )
+    return frozenset(substructure_forms(y, n).values())
 
 
 def age_representatives(y: Structure, n: int) -> tuple[Structure, ...]:
@@ -253,11 +247,10 @@ def age_representatives(y: Structure, n: int) -> tuple[Structure, ...]:
         raise DomainError(f"age size {n} out of range for domain of size {y.size}")
     if n > 8:
         raise UnsupportedSizeError("age computation capped at substructure size 8")
-    reps: dict[CanonicalForm, Structure] = {}
-    for h in itertools.combinations(range(y.size), n):
-        sub = induced_substructure(y, h)
-        reps.setdefault(canonical_form(sub), sub)
-    return tuple(reps[form] for form in sorted(reps))
+    first: dict[CanonicalForm, tuple[int, ...]] = {}
+    for h, form in substructure_forms(y, n).items():
+        first.setdefault(form, h)
+    return tuple(induced_substructure(y, first[form]) for form in sorted(first))
 
 
 def check_profile_bound(y: Structure, kernel_size: int, up_to: int) -> bool:
@@ -275,11 +268,8 @@ def check_trace_isomorphism(y: Structure, w: ChainWitness, n: int) -> bool:
     if not (1 <= n <= y.size):
         raise DomainError(f"subset size {n} out of range")
     by_trace: dict[frozenset[int], CanonicalForm] = {}
-    for h in itertools.combinations(range(y.size), n):
-        trace = frozenset(h) & w.f_set
-        form = canonical_form(induced_substructure(y, h))
-        seen = by_trace.setdefault(trace, form)
-        if seen != form:
+    for h, form in substructure_forms(y, n).items():
+        if by_trace.setdefault(frozenset(h) & w.f_set, form) != form:
             return False
     return True
 

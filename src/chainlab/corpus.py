@@ -14,8 +14,6 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .core import Signature, Structure, structure
 from .errors import DomainError, UnsupportedSizeError
 
@@ -167,30 +165,31 @@ BINARY_SIG = Signature((("E", 2),))
 @lru_cache(maxsize=None)
 def binary_masks_up_to_iso(m: int) -> tuple[int, ...]:
     """Canonical representatives of all binary relations on m points, one
-    mask per isomorphism class.
+    mask per isomorphism class, ascending.
 
     Bit i*m+j of a mask encodes the pair (i, j); relabeling by a permutation
     moves bit i*m+j to perm[i]*m+perm[j], and the class representative is the
-    minimum mask over all permutations.  Vectorized because m = 4 already
-    means 65536 masks times 24 permutations.
+    least mask of its orbit.  Masks are scanned in ascending order, so the
+    first one not yet seen is the least of its orbit: it is kept, and its m!
+    images are marked seen.
     """
     if m > 4:
         raise UnsupportedSizeError("exhaustive binary enumeration capped at size 4")
     n_bits = m * m
-    masks = np.arange(1 << n_bits, dtype=np.int64)
-    bits = ((masks[:, None] >> np.arange(n_bits, dtype=np.int64)[None, :]) & 1).astype(
-        np.int64
-    )
-    best = None
-    for perm in itertools.permutations(range(m)):
-        target = np.array(
-            [perm[s // m] * m + perm[s % m] for s in range(n_bits)], dtype=np.int64
-        )
-        remapped = bits @ (np.int64(1) << target)
-        best = remapped if best is None else np.minimum(best, remapped)
-    if best is None:
-        best = masks
-    return tuple(int(v) for v in np.unique(best))
+    targets = [
+        [perm[s // m] * m + perm[s % m] for s in range(n_bits)]
+        for perm in itertools.permutations(range(m))
+    ]
+    seen = bytearray(1 << n_bits)
+    reps = []
+    for mask in range(1 << n_bits):
+        if seen[mask]:
+            continue
+        reps.append(mask)
+        set_bits = [s for s in range(n_bits) if mask >> s & 1]
+        for target in targets:
+            seen[sum(1 << target[s] for s in set_bits)] = 1
+    return tuple(reps)
 
 
 def structure_from_mask(m: int, mask: int, name: str = "E") -> Structure:

@@ -21,12 +21,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from .core import Structure
 from .errors import FormulaError, ParseError
 
 Formula = Union["Eq", "Rel", "Not", "And", "Or", "Exists", "Forall"]
+
+# Deepest nesting of formula nodes parse_formula accepts, leaf included: the
+# parser and the tree walks recurse once per level, and a cap well below the
+# interpreter's recursion limit turns deep input into a ParseError.
+FORMULA_DEPTH_CAP = 500
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,6 +130,22 @@ def rename_free(f: Formula, mapping: dict[str, str]) -> Formula:
             raise FormulaError(f"renaming clashes with bound variable {f.var!r}")
         body = rename_free(f.body, mapping)
         return type(f)(f.var, body)
+    raise FormulaError(f"not a formula node: {f!r}")
+
+
+def map_atoms(f: Formula, fn: Callable[[Rel], Formula]) -> Formula:
+    """Rebuild the tree with every relational atom replaced by ``fn(atom)``;
+    equalities, connectives and quantifiers stay as they are."""
+    if isinstance(f, Eq):
+        return f
+    if isinstance(f, Rel):
+        return fn(f)
+    if isinstance(f, Not):
+        return Not(map_atoms(f.body, fn))
+    if isinstance(f, (And, Or)):
+        return type(f)(map_atoms(f.left, fn), map_atoms(f.right, fn))
+    if isinstance(f, (Exists, Forall)):
+        return type(f)(f.var, map_atoms(f.body, fn))
     raise FormulaError(f"not a formula node: {f!r}")
 
 
@@ -254,8 +275,10 @@ def parse_formula(text: str) -> Formula:
         pos += 1
         return token
 
-    def expr() -> Formula:
+    def expr(depth: int) -> Formula:
         nonlocal pos
+        if depth > FORMULA_DEPTH_CAP:
+            raise ParseError(f"formula nests deeper than {FORMULA_DEPTH_CAP} levels")
         expect("(")
         head = atom()
         if head == "=":
@@ -269,21 +292,21 @@ def parse_formula(text: str) -> Formula:
                 raise ParseError(f"relational atom {symbol!r} needs arguments")
             node = Rel(symbol, tuple(args))
         elif head == "not":
-            node = Not(expr())
+            node = Not(expr(depth + 1))
         elif head == "and":
-            node = And(expr(), expr())
+            node = And(expr(depth + 1), expr(depth + 1))
         elif head == "or":
-            node = Or(expr(), expr())
+            node = Or(expr(depth + 1), expr(depth + 1))
         elif head == "exists":
-            node = Exists(atom(), expr())
+            node = Exists(atom(), expr(depth + 1))
         elif head == "forall":
-            node = Forall(atom(), expr())
+            node = Forall(atom(), expr(depth + 1))
         else:
             raise ParseError(f"unknown formula keyword {head!r}")
         expect(")")
         return node
 
-    node = expr()
+    node = expr(1)
     if pos != len(tokens):
         raise ParseError(f"trailing input after formula: {tokens[pos]!r}")
     return node

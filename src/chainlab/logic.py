@@ -23,7 +23,7 @@ from .core import (
     reduct,
     validate_companion_axioms,
 )
-from .errors import DomainError, FormulaError, NotSimplyDefinableError
+from .errors import DomainError, NotSimplyDefinableError
 from .formulas import (
     And,
     Eq,
@@ -38,9 +38,10 @@ from .formulas import (
     eval_formula,
     falsum,
     implies,
+    map_atoms,
     or_all,
 )
-from .morphism import canonical_form
+from .morphism import canonical_form, substructure_forms
 
 AGE_SENTENCE_SIZE_CAP = 6
 
@@ -368,18 +369,10 @@ def check_age_sentence_agreement(
         raise DomainError("structure under test must share the family signature")
     by_formula = eval_formula(age_sentence(family, keep_list), y, {})
     family_forms = {canonical_form(reduct(k, keep_list)) for k in family}
-    realized = {
-        canonical_form(reduct(h, keep_list))
-        for h in _substructures(y, n)
-    }
+    # Reduct commutes with restriction, so these are the kept-symbol types
+    # of the n-element substructures of y.
+    realized = set(substructure_forms(reduct(y, keep_list), n).values())
     return by_formula == (realized == family_forms)
-
-
-def _substructures(y: Structure, n: int):
-    from .core import induced_substructure
-
-    for h in itertools.combinations(range(y.size), n):
-        yield induced_substructure(y, h)
 
 
 # ---------------------------------------------------------------------------
@@ -398,23 +391,9 @@ def quotient_translate(
                 f"quotient map sends {src!r} (arity {sig.arity(src)}) to "
                 f"{dst!r} (arity {sig.arity(dst)})"
             )
-
-    def walk(node: Formula) -> Formula:
-        if isinstance(node, Eq):
-            return node
-        if isinstance(node, Rel):
-            return Rel(symbol_map.get(node.symbol, node.symbol), node.args)
-        if isinstance(node, Not):
-            return Not(walk(node.body))
-        if isinstance(node, And):
-            return And(walk(node.left), walk(node.right))
-        if isinstance(node, Or):
-            return Or(walk(node.left), walk(node.right))
-        if isinstance(node, (Exists, Forall)):
-            return type(node)(node.var, walk(node.body))
-        raise FormulaError(f"not a formula node: {node!r}")
-
-    return walk(f)
+    return map_atoms(
+        f, lambda atom: Rel(symbol_map.get(atom.symbol, atom.symbol), atom.args)
+    )
 
 
 def star_translate(f: Formula, defs: QfDefinitionSet) -> Formula:
@@ -423,24 +402,12 @@ def star_translate(f: Formula, defs: QfDefinitionSet) -> Formula:
     instantiated at the atom's variables.  Equalities and the logical
     skeleton pass through unchanged."""
 
-    def walk(node: Formula) -> Formula:
-        if isinstance(node, Eq):
-            return node
-        if isinstance(node, Rel):
-            if not defs.has(node.symbol):
-                raise DomainError(f"no definition for symbol {node.symbol!r}")
-            return definition_formula(defs, node.symbol, node.args)
-        if isinstance(node, Not):
-            return Not(walk(node.body))
-        if isinstance(node, And):
-            return And(walk(node.left), walk(node.right))
-        if isinstance(node, Or):
-            return Or(walk(node.left), walk(node.right))
-        if isinstance(node, (Exists, Forall)):
-            return type(node)(node.var, walk(node.body))
-        raise FormulaError(f"not a formula node: {node!r}")
+    def define(atom: Rel) -> Formula:
+        if not defs.has(atom.symbol):
+            raise DomainError(f"no definition for symbol {atom.symbol!r}")
+        return definition_formula(defs, atom.symbol, atom.args)
 
-    return walk(f)
+    return map_atoms(f, define)
 
 
 # ---------------------------------------------------------------------------

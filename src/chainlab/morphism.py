@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .core import CACHE_SIZE, Structure
+from .core import CACHE_SIZE, Structure, induced_substructure
 from .errors import DomainError, UnsupportedSizeError
 
 CANONICAL_SIZE_CAP = 8
@@ -168,3 +168,13 @@ def _canonical_form_cached(y: Structure) -> CanonicalForm:
             best = relabeled
     encoded = repr((y.size, y.sig.symbols, best)).encode("utf-8")
     return CanonicalForm(encoded)
+
+
+def substructure_forms(y: Structure, n: int) -> dict[tuple[int, ...], CanonicalForm]:
+    """The canonical form of every n-element induced substructure, keyed by
+    the subset, in ``itertools.combinations`` order: the isomorphism type of
+    each n-subset, shared by profiles, ages and trace checks."""
+    return {
+        h: canonical_form(induced_substructure(y, h))
+        for h in itertools.combinations(range(y.size), n)
+    }

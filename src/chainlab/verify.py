@@ -50,6 +50,7 @@ from .corpus import (
     pentagon_cyclic_order,
     unary_structure,
 )
+from .errors import DomainError
 from .formulas import (
     And,
     Eq,
@@ -83,6 +84,7 @@ from .morphism import (
     _preserves,
     canonical_form,
     enumerate_partial_automorphisms,
+    find_isomorphism,
     is_partial_automorphism,
 )
 
@@ -565,8 +567,6 @@ def _iso_witness_ok(a: Structure, b: Structure, p: PartialMap) -> bool:
 
 
 def _suite_iso_canonical_agree(rng, cases) -> SuiteResult:
-    from .morphism import find_isomorphism
-
     result = SuiteResult("iso-canonical-agree", 0)
     for m in (2, 3):
         reps = all_binary_structures(m)
@@ -936,8 +936,6 @@ def run_suites(
     """Run the registered suites (or just one), each with its own
     deterministically derived generator."""
     if only is not None and only not in SUITES:
-        from .errors import DomainError
-
         raise DomainError(
             f"unknown suite {only!r}; known: {', '.join(sorted(SUITES))}"
         )

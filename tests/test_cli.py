@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
 
 import pytest
-from conftest import GOLDEN, run_cli
+from conftest import GOLDEN, child_env, run_cli
+
+from chainlab.formulas import FORMULA_DEPTH_CAP
 
 
 class TestExitCodes:
@@ -21,6 +25,35 @@ class TestExitCodes:
         result = run_cli("kernel", "--structure", "c5.json", "--max-f", "-1")
         assert result.returncode == 1
         assert json.loads(result.stdout)["error"] == "domain_error"
+
+    @staticmethod
+    def _star_eval_nested(tmp_path, depth: int) -> subprocess.CompletedProcess:
+        companion = {"size": 5, "order": [0, 1, 2, 3, 4], "constants": [0, 1, 2, 3]}
+        path = tmp_path / "c5_frozen0123.json"
+        path.write_text(json.dumps(companion))
+        formula = "(not " * (depth - 1) + "(rel E u v)" + ")" * (depth - 1)
+        return run_cli(
+            "star-eval",
+            "--structure",
+            "c5.json",
+            "--companion",
+            str(path),
+            "--formula",
+            formula,
+            "--assign",
+            "u=0,v=1",
+        )
+
+    def test_deep_formula_is_parse_error(self, tmp_path):
+        result = self._star_eval_nested(tmp_path, 10_000)
+        assert result.returncode == 2
+        assert json.loads(result.stdout)["error"] == "parse_error"
+        assert result.stderr == ""
+
+    def test_formula_at_depth_cap_is_evaluated(self, tmp_path):
+        result = self._star_eval_nested(tmp_path, FORMULA_DEPTH_CAP)
+        assert result.returncode == 0
+        assert json.loads(result.stdout)["agree"] is True
 
     def test_parse_error_is_two(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -185,3 +218,20 @@ class TestFormulaFixture:
 
         text = (GOLDEN / "formula.txt").read_text()
         assert format_formula(parse_formula(text)) + "\n" == text
+
+
+class TestImports:
+    def test_cli_imports_only_the_standard_library(self):
+        # Compare with a snapshot: site hooks may load other packages first.
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import chainlab.cli\n"
+            "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+            "extra = sorted(loaded - set(sys.stdlib_module_names) - {'chainlab'})\n"
+            "assert not extra, extra\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
+        assert result.returncode == 0, result.stderr

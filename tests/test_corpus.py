@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from chainlab import corpus
@@ -91,6 +93,22 @@ class TestExhaustiveEnumeration:
         for mask in rng.sample(range(1 << 16), 250):
             form = canonical_form(corpus.structure_from_mask(4, mask))
             assert form in rep_forms
+
+    def test_representatives_are_least_masks_of_their_classes(self):
+        # The exact masks key recorded sweep results and seeded samples, so
+        # each representative must be the least mask of its class, ascending.
+        for m in range(4):
+            least = {}
+            for mask in range(1 << (m * m)):
+                least.setdefault(canonical_form(corpus.structure_from_mask(m, mask)), mask)
+            assert corpus.binary_masks_up_to_iso(m) == tuple(sorted(least.values()))
+
+    def test_size_four_representatives_are_pinned(self):
+        reps = corpus.binary_masks_up_to_iso(4)
+        assert (
+            hashlib.sha256(repr(reps).encode()).hexdigest()
+            == "959ec3c5e92c5ad7649ae57f73d1f211322a06ccf1060482431d975e361de960"
+        )
 
     def test_enumeration_cap(self):
         with pytest.raises(UnsupportedSizeError):

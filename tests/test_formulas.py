@@ -16,6 +16,7 @@ from chainlab.formulas import (
     eval_formula,
     format_formula,
     free_variables,
+    map_atoms,
     or_all,
     parse_formula,
     rename_free,
@@ -89,6 +90,12 @@ class TestTextFormat:
         with pytest.raises(ParseError):
             parse_formula("(rel E)")
 
+    def test_parse_rejects_deep_nesting(self):
+        depth = 10_000
+        text = "(not " * (depth - 1) + "(= v0 v1)" + ")" * (depth - 1)
+        with pytest.raises(ParseError):
+            parse_formula(text)
+
     def test_random_round_trip(self):
         rng = random.Random(17)
         sig = Signature((("E", 2), ("U", 1)))
@@ -114,6 +121,17 @@ class TestHelpers:
     def test_rename_free(self):
         f = Rel("E", ("v0", "v1"))
         assert rename_free(f, {"v0": "x"}) == Rel("E", ("x", "v1"))
+
+    def test_map_atoms_identity(self):
+        rng = random.Random(23)
+        sig = Signature((("E", 2), ("U", 1)))
+        for _ in range(200):
+            f = random_formula(rng, sig, ("v0", "v1", "v2"), depth=4, quantifiers=2)
+            assert map_atoms(f, lambda atom: atom) == f
+
+    def test_map_atoms_rejects_non_formula(self):
+        with pytest.raises(FormulaError):
+            map_atoms(Not("E"), lambda atom: atom)
 
     def test_rename_clash_rejected(self):
         f = Exists("x", Rel("E", ("x", "v0")))

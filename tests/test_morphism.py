@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from chainlab import corpus
-from chainlab.core import structure
+from chainlab.core import induced_substructure, structure
 from chainlab.errors import DomainError, UnsupportedSizeError
 from chainlab.morphism import (
     PartialMap,
@@ -11,6 +11,7 @@ from chainlab.morphism import (
     enumerate_partial_automorphisms,
     find_isomorphism,
     is_partial_automorphism,
+    substructure_forms,
 )
 
 
@@ -157,6 +158,16 @@ class TestCanonicalForm:
     def test_size_cap(self):
         with pytest.raises(UnsupportedSizeError):
             canonical_form(structure(9, {}, []))
+
+    def test_substructure_forms_match_direct_loop(self):
+        for y in corpus.fixture_structures():
+            for n in range(1, y.size + 1):
+                direct = {
+                    h: canonical_form(induced_substructure(y, h))
+                    for h in itertools.combinations(range(y.size), n)
+                }
+                forms = substructure_forms(y, n)
+                assert list(forms.items()) == list(direct.items())
 
     def test_hex_serialization(self, c5):
         form = canonical_form(c5)
