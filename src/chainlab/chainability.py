@@ -4,14 +4,13 @@ A structure is chainable over a frozen set F with respect to a linear order
 on the complement when every order-increasing partial injection of the
 complement, extended by the identity on F, is a partial automorphism.
 
-The decision ``is_chainable_with`` tests maps with at most max-arity sources:
-a tuple touches at most that many non-frozen elements, so every violating map
-restricts to one of them.  verify.py checks it against the full oracle.
-
-The search ``iter_chain_orders`` (behind ``find_chain_order``, ``kernel`` and
-``gpw.enumerate_chaining_orders``) tests type purity instead: an order chains
-the structure exactly when, for each j up to the largest arity, all its
-j-subsets have one quantifier-free type over F (Fraisse; Frasnay).
+Both the decision ``is_chainable_with`` and the search ``iter_chain_orders``
+(behind ``find_chain_order``, ``kernel`` and
+``gpw.enumerate_chaining_orders``) test type purity: an order chains the
+structure exactly when, for each j up to the largest arity, all its j-subsets
+have one quantifier-free type over F (Fraisse; Frasnay).  They read those
+types from one table, ``_subset_types``.  verify.py checks the decision
+against the full map oracle, which shares no code with it.
 """
 
 from __future__ import annotations
@@ -19,11 +18,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .core import Companion, Structure, companion_structure, induced_substructure
+from .core import CACHE_SIZE, Companion, Structure, companion_structure, induced_substructure
 from .errors import DomainError, UnsupportedSizeError
-from .morphism import CanonicalForm, _preserves, substructure_forms
+from .morphism import CanonicalForm, substructure_forms
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,38 +78,50 @@ def _validate_witness(y: Structure, w: ChainWitness) -> None:
         raise DomainError("witness does not partition the domain")
 
 
-@lru_cache(maxsize=None)
-def _increasing_position_maps(
-    length: int, max_size: int
-) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Order-preserving partial injections on positions 0..length-1 with
-    domain size 1..max_size, smallest domains first.
+@lru_cache(maxsize=CACHE_SIZE)
+def _type_words(arities: tuple[int, ...], n: int, j: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(symbol index, index word into n frozen then j chosen elements) for
+    every arity-length word that uses all j chosen elements."""
+    return tuple(
+        (s, w)
+        for s, ar in enumerate(arities)
+        for w in itertools.product(range(n + j), repeat=ar)
+        if len(set(w) - set(range(n))) == j
+    )
 
-    An increasing injection is determined by its source set and equal-size
-    target set, paired off in order.
-    """
-    out = []
-    for j in range(1, max_size + 1):
-        for srcs in itertools.combinations(range(length), j):
-            for tgts in itertools.combinations(range(length), j):
-                out.append(tuple(zip(srcs, tgts)))
-    return tuple(out)
+
+def _subset_types(y: Structure, fixed: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple]:
+    """The memoised type over ``fixed`` of a tuple of non-frozen elements:
+    the memberships of every arity-length word over ``fixed`` and those
+    elements that uses all of them."""
+    arities = tuple(ar for _, ar in y.sig.symbols)
+    types: dict[tuple[int, ...], tuple[bool, ...]] = {}
+
+    def type_of(els: tuple[int, ...]) -> tuple[bool, ...]:
+        if els not in types:
+            vals, rels = fixed + els, y.relations
+            words = _type_words(arities, len(fixed), len(els))
+            types[els] = tuple(tuple(vals[i] for i in w) in rels[s] for s, w in words)
+        return types[els]
+
+    return type_of
 
 
 def is_chainable_with(y: Structure, w: ChainWitness) -> bool:
     """Decide chainability of ``y`` over the witness's frozen set with
-    respect to its complement order, via the arity-bound reduction.
+    respect to its complement order: for each j up to the largest arity,
+    every j-subset of the order, read in order, has the type of its first j
+    elements.
 
     Structures over the empty signature are chainable with any witness.
     """
     _validate_witness(y, w)
     rest = w.rest_order
-    base = {a: a for a in w.f_set}
-    for posmap in _increasing_position_maps(len(rest), min(y.sig.max_arity(), len(rest))):
-        mapping = dict(base)
-        for s, t in posmap:
-            mapping[rest[s]] = rest[t]
-        if not _preserves(y, mapping):
+    bound = min(y.sig.max_arity(), len(rest))
+    type_of = _subset_types(y, tuple(sorted(w.f_set)))
+    for j in range(1, bound + 1):
+        first = type_of(rest[:j])
+        if any(type_of(sub) != first for sub in itertools.combinations(rest, j)):
             return False
     return True
 
@@ -128,31 +139,12 @@ def iter_chain_orders(y: Structure, f_set: Iterable[int]) -> Iterator[tuple[int,
 
     Backtracks over the ascending remaining elements.  The prefix may grow by
     ``e`` when every j-subset of it containing ``e`` (j up to the largest
-    arity), read in prefix order, has the type of the first j prefix elements:
-    the memberships of every arity-length word over F and the j elements that
-    uses all j of them.  A failing prefix cannot recover.
+    arity), read in prefix order, has the type of the first j prefix elements
+    (``_subset_types``).  A failing prefix cannot recover.
     """
     f, rest = _split_domain(y, f_set)
-    fixed = tuple(sorted(f))
     bound = min(y.sig.max_arity(), len(rest))
-    n = len(fixed)
-    words = {  # j -> (relation, index word into fixed + j elements using all j)
-        j: [
-            (rel, w)
-            for (_, ar), rel in zip(y.sig.symbols, y.relations)
-            for w in itertools.product(range(n + j), repeat=ar)
-            if len(set(w) - set(range(n))) == j
-        ]
-        for j in range(1, bound + 1)
-    }
-    types: dict[tuple[int, ...], tuple[bool, ...]] = {}
-
-    def type_of(els: tuple[int, ...]) -> tuple[bool, ...]:
-        if els not in types:
-            vals = fixed + els
-            types[els] = tuple(tuple(vals[i] for i in w) in rel for rel, w in words[len(els)])
-        return types[els]
-
+    type_of = _subset_types(y, tuple(sorted(f)))
     prefix: list[int] = []
 
     def pure() -> bool:

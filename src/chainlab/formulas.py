@@ -98,6 +98,16 @@ def falsum(var: str) -> Formula:
     return Not(Eq(var, var))
 
 
+def _operands(f: And | Or) -> list[Formula]:
+    """Operands of the left-deep chain of ``f``'s connective, left to right.
+    The walks loop over them, so and_all/or_all chains cost no recursion."""
+    kind, rights = type(f), []
+    while type(f) is kind:
+        rights.append(f.right)
+        f = f.left
+    return [f, *reversed(rights)]
+
+
 def free_variables(f: Formula) -> frozenset[str]:
     if isinstance(f, Eq):
         return frozenset((f.left, f.right))
@@ -106,7 +116,7 @@ def free_variables(f: Formula) -> frozenset[str]:
     if isinstance(f, Not):
         return free_variables(f.body)
     if isinstance(f, (And, Or)):
-        return free_variables(f.left) | free_variables(f.right)
+        return frozenset().union(*map(free_variables, _operands(f)))
     if isinstance(f, (Exists, Forall)):
         return free_variables(f.body) - {f.var}
     raise FormulaError(f"not a formula node: {f!r}")
@@ -121,10 +131,8 @@ def rename_free(f: Formula, mapping: dict[str, str]) -> Formula:
         return Rel(f.symbol, tuple(mapping.get(a, a) for a in f.args))
     if isinstance(f, Not):
         return Not(rename_free(f.body, mapping))
-    if isinstance(f, And):
-        return And(rename_free(f.left, mapping), rename_free(f.right, mapping))
-    if isinstance(f, Or):
-        return Or(rename_free(f.left, mapping), rename_free(f.right, mapping))
+    if isinstance(f, (And, Or)):
+        return reduce(type(f), [rename_free(g, mapping) for g in _operands(f)])
     if isinstance(f, (Exists, Forall)):
         if f.var in mapping or f.var in mapping.values():
             raise FormulaError(f"renaming clashes with bound variable {f.var!r}")
@@ -143,7 +151,7 @@ def map_atoms(f: Formula, fn: Callable[[Rel], Formula]) -> Formula:
     if isinstance(f, Not):
         return Not(map_atoms(f.body, fn))
     if isinstance(f, (And, Or)):
-        return type(f)(map_atoms(f.left, fn), map_atoms(f.right, fn))
+        return reduce(type(f), [map_atoms(g, fn) for g in _operands(f)])
     if isinstance(f, (Exists, Forall)):
         return type(f)(f.var, map_atoms(f.body, fn))
     raise FormulaError(f"not a formula node: {f!r}")
@@ -189,10 +197,8 @@ def eval_formula(f: Formula, y: Structure, assignment: dict[str, int]) -> bool:
             return point in tuples
         if isinstance(node, Not):
             return not run(node.body)
-        if isinstance(node, And):
-            return run(node.left) and run(node.right)
-        if isinstance(node, Or):
-            return run(node.left) or run(node.right)
+        if isinstance(node, (And, Or)):
+            return (all if isinstance(node, And) else any)(map(run, _operands(node)))
         if isinstance(node, (Exists, Forall)):
             existential = isinstance(node, Exists)
             var = node.var
@@ -225,10 +231,10 @@ def format_formula(f: Formula) -> str:
         return "(rel " + " ".join((f.symbol, *f.args)) + ")"
     if isinstance(f, Not):
         return f"(not {format_formula(f.body)})"
-    if isinstance(f, And):
-        return f"(and {format_formula(f.left)} {format_formula(f.right)})"
-    if isinstance(f, Or):
-        return f"(or {format_formula(f.left)} {format_formula(f.right)})"
+    if isinstance(f, (And, Or)):
+        first, *more = map(format_formula, _operands(f))
+        keyword = "(and " if isinstance(f, And) else "(or "
+        return keyword * len(more) + first + "".join(f" {g})" for g in more)
     if isinstance(f, Exists):
         return f"(exists {f.var} {format_formula(f.body)})"
     if isinstance(f, Forall):

@@ -136,7 +136,7 @@ def perturbation_closure(
 
 def classify_family(fam: ChainOrderFamily) -> GpwClassification:
     """Match the family against the three shapes in order (AllOrders, then
-    RotationFamily over every candidate base, then BoundedPerturbation
+    RotationFamily with the least order as base, then BoundedPerturbation
     minimizing the total end-block size); the first match wins.
 
     Ties among perturbation splits of equal total size break on the sorted
@@ -159,11 +159,12 @@ def classify_family(fam: ChainOrderFamily) -> GpwClassification:
             evidence["also_matches"] = ["RotationFamily", "BoundedPerturbation"]
         return GpwClassification("AllOrders", evidence=evidence)
 
-    for base in orders:
-        if rotation_closure(base) == order_set:
-            if order_set == {base, tuple(reversed(base))}:
-                evidence["also_matches"] = ["BoundedPerturbation"]
-            return GpwClassification("RotationFamily", base=base, evidence=evidence)
+    # Every member of a rotation closure has that same closure: one base will do.
+    base = orders[0]
+    if rotation_closure(base) == order_set:
+        if order_set == {base, tuple(reversed(base))}:
+            evidence["also_matches"] = ["BoundedPerturbation"]
+        return GpwClassification("RotationFamily", base=base, evidence=evidence)
 
     for total in range(r + 1):
         candidates = []

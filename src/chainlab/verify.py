@@ -3,8 +3,8 @@
 Each suite is a callable ``(rng, cases) -> SuiteResult`` registered in
 ``SUITES``.  The heavy lifting lives in scope-parameterized check functions
 so the acceptance tests can rerun the same checks over their own, larger
-corpora.  Every dual-route check keeps its two sides separate: the bounded
-chainability decision is compared against full-quantification enumeration,
+corpora.  Every dual-route check keeps its two sides separate: the
+type-purity chainability decision is compared against full-map enumeration,
 structural definition matching against formula evaluation, sentence
 evaluation against direct canonical-form comparison.
 """
@@ -127,8 +127,8 @@ def all_witnesses(m: int) -> list[ChainWitness]:
 @lru_cache(maxsize=None)
 def _chain_maps_full(r: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """All partial automorphisms of the r-element chain, by position, taken
-    from the generic enumerator.  This is the full-quantification side of the
-    reduction check; the bounded decision never calls it."""
+    from the generic enumerator.  This is the full-map side of the reduction
+    check; the type-purity decision shares no code with it."""
     chain = chain_structure(r)
     return tuple(p.pairs for p in enumerate_partial_automorphisms(chain, max_dom=r))
 
@@ -252,23 +252,23 @@ class SweepOutcome:
 
 
 def reduction_oracle_sweep(structures: Iterable[Structure]) -> SweepOutcome:
-    """Compare the arity-bounded chainability decision against the
-    full-quantification oracle on every (frozen set, order) pair of every
-    structure, collecting the chainable pairs for downstream checks."""
+    """Compare the type-purity chainability decision against the full-map
+    oracle on every (frozen set, order) pair of every structure, collecting
+    the chainable pairs for downstream checks."""
     cases = 0
     failures: list[str] = []
     chainable: list[tuple[Structure, ChainWitness]] = []
     for y in structures:
         for w in all_witnesses(y.size):
             cases += 1
-            bounded = is_chainable_with(y, w)
+            decision = is_chainable_with(y, w)
             full = chainable_full(y, w)
-            if bounded != full:
+            if decision != full:
                 failures.append(
-                    f"bounded={bounded} full={full} on {y.relations} with "
+                    f"decision={decision} full={full} on {y.relations} with "
                     f"F={sorted(w.f_set)} order={w.rest_order}"
                 )
-            elif bounded:
+            elif decision:
                 chainable.append((y, w))
     return SweepOutcome(cases, failures, chainable)
 
@@ -607,7 +607,7 @@ def _suite_reduction_oracle(rng, cases) -> SuiteResult:
             outcome.cases += 1
             if is_chainable_with(y, w) != chainable_full(y, w):
                 outcome.failures.append(
-                    f"bounded/full disagreement on random {y.relations} F={sorted(w.f_set)}"
+                    f"decision/full disagreement on random {y.relations} F={sorted(w.f_set)}"
                 )
     return SuiteResult("reduction-oracle", outcome.cases, outcome.failures)
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -19,12 +20,20 @@ from chainlab.chainability import (
 from chainlab.core import signature, structure
 from chainlab.errors import DomainError, UnsupportedSizeError
 from chainlab.logic import apply_definitions
-from chainlab.verify import all_witnesses, chainable_full, random_companion, random_definition_set
+from chainlab.verify import (
+    all_witnesses,
+    chainable_full,
+    random_companion,
+    random_definition_set,
+    random_structures,
+)
 
 
 def brute_force_kernel(y, max_f):
     """Kernel search with the first order of each frozen set taken from the
-    itertools.permutations filter through is_chainable_with."""
+    itertools.permutations filter through is_chainable_with.  It shares the
+    subset-type table with kernel's search but not its backtracking, and it
+    stays fast enough for the 7-point cases, where chainable_full is not."""
     for size in range(max_f + 1):
         found = []
         for f in itertools.combinations(range(y.size), size):
@@ -68,9 +77,28 @@ class TestIsChainableWith:
                 assert is_chainable_with(y, w) == is_chainable_with(y, reversed_w)
 
     def test_agrees_with_full_quantification(self):
-        for y in corpus.all_binary_structures(3):
-            for w in all_witnesses(y.size):
-                assert is_chainable_with(y, w) == chainable_full(y, w)
+        mixed = random_structures(random.Random(11), 30, sizes=(4, 5), arity=(1, 3))
+        cases = [(y, all_witnesses(y.size)) for y in corpus.all_binary_structures(3) + mixed]
+        # The cyclic order over the empty set only, where its rotations chain.
+        over_empty = [w for w in all_witnesses(6) if not w.f_set]
+        cases.append((corpus.cyclic_order_structure(6), over_empty))
+        outcomes = set()
+        for y, witnesses in cases:
+            for w in witnesses:
+                decision = is_chainable_with(y, w)
+                assert decision == chainable_full(y, w)
+                outcomes.add((y.sig.max_arity(), decision))
+        assert outcomes == {(a, d) for a in (1, 2, 3) for d in (True, False)}
+
+    def test_decides_long_witnesses(self):
+        # check-chain takes witnesses of any length; the decision tests
+        # C(r, j) subsets for j up to the largest arity, so it stays
+        # polynomial in r.
+        w = ChainWitness(frozenset(), tuple(range(80)))
+        start = time.monotonic()
+        assert is_chainable_with(corpus.chain_structure(80), w)
+        assert not is_chainable_with(corpus.cycle_structure(80), w)
+        assert time.monotonic() - start < 10.0
 
 
 class TestEndpointMonotonicity:

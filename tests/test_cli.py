@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -54,6 +55,32 @@ class TestExitCodes:
         result = self._star_eval_nested(tmp_path, FORMULA_DEPTH_CAP)
         assert result.returncode == 0
         assert json.loads(result.stdout)["agree"] is True
+
+    def test_long_star_formula_is_evaluated(self, tmp_path):
+        # T holds on every tuple, so over four constants its definition is a
+        # left-deep or_all of 1,083 literal types.
+        tuples = [list(t) for t in itertools.product(range(8), repeat=4)]
+        y = {"relations": {"T": tuples}, "signature": [{"arity": 4, "name": "T"}], "size": 8}
+        companion = {"size": 8, "order": list(range(8)), "constants": [0, 1, 2, 3]}
+        y_path, x_path = tmp_path / "full8.json", tmp_path / "k8_frozen0123.json"
+        y_path.write_text(json.dumps(y))
+        x_path.write_text(json.dumps(companion))
+        result = run_cli(
+            "star-eval",
+            "--structure",
+            str(y_path),
+            "--companion",
+            str(x_path),
+            "--formula",
+            "(rel T u v w z)",
+            "--assign",
+            "u=0,v=1,w=2,z=3",
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
+        doc = json.loads(result.stdout)
+        assert doc["agree"] is True
+        assert doc["star_formula"].startswith("(or " * 1082 + "(and ")
 
     def test_parse_error_is_two(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -129,6 +129,27 @@ class TestHelpers:
             f = random_formula(rng, sig, ("v0", "v1", "v2"), depth=4, quantifiers=2)
             assert map_atoms(f, lambda atom: atom) == f
 
+    def test_long_chains_walk_without_recursion(self):
+        # and_all/or_all build left-deep trees far deeper than the
+        # interpreter's recursion limit; every walk loops over such a chain.
+        n = 5000
+        y = structure(2, {"E": [(0, 1)]}, [("E", 2)])
+        atoms = [Rel("E", ("u", f"x{i}")) for i in range(n)]
+        swapped = [Rel("E", (f"x{i}", "u")) for i in range(n)]
+        only_last = {"u": 0, **{f"x{i}": 0 for i in range(n - 1)}, f"x{n - 1}": 1}
+        every = {"u": 0, **{f"x{i}": 1 for i in range(n)}}
+        for build, keyword, on_last in ((or_all, "or", True), (and_all, "and", False)):
+            f = build(atoms)
+            text = f"({keyword} " * (n - 1) + "(rel E u x0)"
+            text += "".join(f" (rel E u x{i}))" for i in range(1, n))
+            assert format_formula(f) == text
+            assert free_variables(f) == {"u", *(f"x{i}" for i in range(n))}
+            assert eval_formula(f, y, only_last) is on_last
+            assert eval_formula(f, y, every) is True
+            assert format_formula(rename_free(f, {"u": "w"})) == text.replace(" u ", " w ")
+            flipped = map_atoms(f, lambda atom: Rel(atom.symbol, atom.args[::-1]))
+            assert format_formula(flipped) == format_formula(build(swapped))
+
     def test_map_atoms_rejects_non_formula(self):
         with pytest.raises(FormulaError):
             map_atoms(Not("E"), lambda atom: atom)

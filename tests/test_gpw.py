@@ -16,6 +16,7 @@ from chainlab.gpw import (
     perturbation_closure,
     rotation_closure,
 )
+from chainlab.verify import chainable_full
 
 
 class TestEnumeration:
@@ -33,7 +34,9 @@ class TestEnumeration:
     def test_cyclic_orders_give_rotation_families(self, m):
         fam = enumerate_chaining_orders(corpus.cyclic_order_structure(m), [])
         assert len(fam.orders) == 2 * m
-        assert classify_family(fam).tag == "RotationFamily"
+        cls = classify_family(fam)
+        assert cls.tag == "RotationFamily"
+        assert cls.base == min(fam.orders)
 
     def test_marked_point_family_is_everything(self):
         fam = enumerate_chaining_orders(corpus.unary_structure(5, [0]), [0])
@@ -46,7 +49,8 @@ class TestEnumeration:
 
     def test_matches_permutation_filter(self):
         # The type-purity search lists exactly the arrangements that pass the
-        # map-based decision, in itertools.permutations order.
+        # full map oracle, which shares no code with it, in
+        # itertools.permutations order.
         sample = random.Random(3).sample(corpus.all_binary_structures(4), 100)
         ternary = [corpus.cyclic_order_structure(5)]
         for y in corpus.all_binary_structures(3) + sample + ternary:
@@ -56,7 +60,7 @@ class TestEnumeration:
                     want = tuple(
                         p
                         for p in itertools.permutations(rest)
-                        if is_chainable_with(y, ChainWitness(frozenset(f), p))
+                        if chainable_full(y, ChainWitness(frozenset(f), p))
                     )
                     assert enumerate_chaining_orders(y, f).orders == want
                     assert find_chain_order(y, f) == (want[0] if want else None)
