@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator
 
 from .core import CACHE_SIZE, Companion, Structure, companion_structure, induced_substructure
 from .errors import DomainError, UnsupportedSizeError
-from .morphism import CanonicalForm, substructure_forms
+from .morphism import CANONICAL_SIZE_CAP, CanonicalForm, substructure_forms
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,9 +210,10 @@ def witness_companion(w: ChainWitness) -> Companion:
 def profile(y: Structure, up_to: int) -> ProfileReport:
     """Isomorphism-type counts of n-element induced substructures for
     n = 1..up_to.  Bounded by the canonical-form regime (size <= 8)."""
-    if up_to > min(y.size, 8):
+    if up_to > min(y.size, CANONICAL_SIZE_CAP):
         raise UnsupportedSizeError(
-            f"profile up_to={up_to} exceeds min(size, 8) = {min(y.size, 8)}"
+            f"profile up_to={up_to} exceeds min(size, {CANONICAL_SIZE_CAP}) = "
+            f"{min(y.size, CANONICAL_SIZE_CAP)}"
         )
     values = []
     forms_per_n = []
@@ -227,8 +228,10 @@ def age_forms(y: Structure, n: int) -> frozenset[CanonicalForm]:
     """Canonical forms of all n-element induced substructures."""
     if not (1 <= n <= y.size):
         raise DomainError(f"age size {n} out of range for domain of size {y.size}")
-    if n > 8:
-        raise UnsupportedSizeError("age computation capped at substructure size 8")
+    if n > CANONICAL_SIZE_CAP:
+        raise UnsupportedSizeError(
+            f"age computation capped at substructure size {CANONICAL_SIZE_CAP}"
+        )
     return frozenset(substructure_forms(y, n).values())
 
 
@@ -237,8 +240,10 @@ def age_representatives(y: Structure, n: int) -> tuple[Structure, ...]:
     canonical form.  Suitable as a family for age sentences."""
     if not (1 <= n <= y.size):
         raise DomainError(f"age size {n} out of range for domain of size {y.size}")
-    if n > 8:
-        raise UnsupportedSizeError("age computation capped at substructure size 8")
+    if n > CANONICAL_SIZE_CAP:
+        raise UnsupportedSizeError(
+            f"age computation capped at substructure size {CANONICAL_SIZE_CAP}"
+        )
     first: dict[CanonicalForm, tuple[int, ...]] = {}
     for h, form in substructure_forms(y, n).items():
         first.setdefault(form, h)
@@ -271,6 +276,6 @@ def age_subset(z: Structure, y: Structure, n: int) -> bool:
     in ``y``?  Signatures must agree exactly."""
     if z.sig != y.sig:
         raise DomainError("signature mismatch in age comparison")
-    if n > min(z.size, y.size) or n > 8:
+    if n > min(z.size, y.size) or n > CANONICAL_SIZE_CAP:
         raise DomainError(f"age size {n} out of range for the given structures")
     return age_forms(z, n) <= age_forms(y, n)

@@ -32,6 +32,7 @@ from .logic import (
     render_literal_type,
     star_translate,
 )
+from .morphism import CANONICAL_SIZE_CAP
 
 
 def _int_list(text: str) -> list[int]:
@@ -101,7 +102,7 @@ def _cmd_kernel(args) -> dict:
 
 def _cmd_profile(args) -> dict:
     y = load_structure(args.structure)
-    up_to = min(y.size, 8) if args.up_to is None else args.up_to
+    up_to = min(y.size, CANONICAL_SIZE_CAP) if args.up_to is None else args.up_to
     return profile(y, up_to).to_dict()
 
 

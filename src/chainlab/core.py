@@ -14,6 +14,7 @@ order) and one unary symbol per marked element.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -135,6 +136,26 @@ def structure(
 # Substructures and reducts
 
 
+# Word tables of at most this many words are built once and shared, so that
+# the structures built from them share their tuple objects; larger ones are
+# generated afresh on each call, so no large one is ever held.
+SHARED_WORDS_CAP = 512
+
+
+def words(m: int, arity: int) -> Iterable[tuple[int, ...]]:
+    """Every arity-length word over {0, ..., m-1}, in lexicographic order: a
+    shared tuple when there are at most SHARED_WORDS_CAP of them, else a
+    one-pass iterator."""
+    if m**arity <= SHARED_WORDS_CAP:
+        return _shared_words(m, arity)
+    return itertools.product(range(m), repeat=arity)
+
+
+@lru_cache(maxsize=64)
+def _shared_words(m: int, arity: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(itertools.product(range(m), repeat=arity))
+
+
 def induced_substructure(y: Structure, h: Iterable[int]) -> Structure:
     """Restrict ``y`` to the subset ``h``, relabeled order-preservingly onto
     {0, ..., |h|-1}.
@@ -146,13 +167,19 @@ def induced_substructure(y: Structure, h: Iterable[int]) -> Structure:
         raise DomainError("induced substructure of the empty set is not defined")
     if hs[0] < 0 or hs[-1] >= y.size:
         raise DomainError(f"subset {hs} leaves the domain of size {y.size}")
+    k = len(hs)
     relabel = {e: i for i, e in enumerate(hs)}
     keep = set(hs)
-    rels = tuple(
-        frozenset(tuple(relabel[x] for x in t) for t in tuples if set(t) <= keep)
-        for tuples in y.relations
-    )
-    return Structure(y.sig, len(hs), rels)
+    rels = []
+    for (_, arity), tuples in zip(y.sig.symbols, y.relations):
+        if k**arity <= SHARED_WORDS_CAP:
+            # The ascending product of hs lists the images of the shared
+            # words in order, so the members are read off the word table.
+            members = map(tuples.__contains__, itertools.product(hs, repeat=arity))
+            rels.append(frozenset(itertools.compress(words(k, arity), members)))
+        else:
+            rels.append(frozenset(tuple(relabel[x] for x in t) for t in tuples if set(t) <= keep))
+    return Structure(y.sig, k, tuple(rels))
 
 
 def reduct(y: Structure, keep: Iterable[str]) -> Structure:

@@ -22,6 +22,7 @@ from .core import (
     companion_as_structure,
     reduct,
     validate_companion_axioms,
+    words,
 )
 from .errors import DomainError, NotSimplyDefinableError
 from .formulas import (
@@ -241,7 +242,7 @@ def apply_definitions(
         relations.append(
             frozenset(
                 point
-                for point in itertools.product(range(x.size), repeat=arity)
+                for point in words(x.size, arity)
                 if literal_type(x, point) in types
             )
         )

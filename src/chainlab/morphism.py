@@ -2,9 +2,10 @@
 
 A partial automorphism (also called a local automorphism) is a finite
 injective partial map on the domain that preserves every relation in both
-directions on the tuples it can see.  Everything here is brute force by
-design: the library only ever canonicalizes structures of bounded size, and
-exhaustive search is the trusted oracle for the rest of the code base.
+directions on the tuples it can see.  Isomorphism search and partial
+automorphisms are exhaustive.  Canonical forms are exact, found by branch and
+bound over ordered partitions, for structures of bounded size; the
+exhaustive scan they replace is ``verify.canonical_form_full``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .core import CACHE_SIZE, Structure, induced_substructure
+from .core import CACHE_SIZE, SHARED_WORDS_CAP, Signature, Structure, induced_substructure, words
 from .errors import DomainError, UnsupportedSizeError
 
 CANONICAL_SIZE_CAP = 8
@@ -143,31 +144,173 @@ def find_isomorphism(a: Structure, b: Structure) -> PartialMap | None:
 
 
 def canonical_form(y: Structure) -> CanonicalForm:
-    """Minimum over all domain permutations of the relabeled relation sets.
+    """The least, over all relabelings of the domain, of the relabeled
+    relations (each a sorted tuple list, in signature order), encoded with the
+    size and the signature.
 
-    Exhaustive over size! permutations, so the size is capped at
-    CANONICAL_SIZE_CAP; larger inputs raise UnsupportedSizeError.
+    Found by branch and bound over ordered partitions (``_least_relabeling``);
+    ``verify.canonical_form_full`` is the scan of all size! relabelings it
+    replaces.  The size is capped at CANONICAL_SIZE_CAP; larger inputs raise
+    UnsupportedSizeError.
     """
     if y.size > CANONICAL_SIZE_CAP:
         raise UnsupportedSizeError(
             f"canonical_form is exhaustive and capped at size {CANONICAL_SIZE_CAP}; "
             f"got {y.size}"
         )
-    return _canonical_form_cached(y)
+    return _canonical_form_cached(y.sig, y.size, _cache_key(y))
+
+
+# 1 << i for every word position of a bit-mask key.
+_POWERS = [1 << i for i in range(SHARED_WORDS_CAP)]
+
+
+def _cache_key(y: Structure) -> tuple:
+    """The canonical-form cache key of ``y`` without its signature, one entry
+    per relation: a bit mask over the words in lex order (bit i: the i-th
+    word is a member), or, past SHARED_WORDS_CAP words, the sorted members.
+    The cache thus pins no structure."""
+    key = []
+    for (_, arity), tuples in zip(y.sig.symbols, y.relations):
+        if y.size**arity <= SHARED_WORDS_CAP:
+            members = map(tuples.__contains__, words(y.size, arity))
+            key.append(sum(itertools.compress(_POWERS, members)))
+        else:
+            key.append(tuple(sorted(tuples)))
+    return tuple(key)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _canonical_form_cached(y: Structure) -> CanonicalForm:
-    best = None
-    for perm in itertools.permutations(range(y.size)):
-        relabeled = tuple(
-            tuple(sorted(tuple(perm[x] for x in t) for t in tuples))
-            for tuples in y.relations
+def _canonical_form_cached(sig: Signature, n: int, key: tuple) -> CanonicalForm:
+    relations = [
+        list(part) if isinstance(part, tuple)
+        else [w for i, w in enumerate(words(n, arity)) if part >> i & 1]
+        for part, (_, arity) in zip(key, sig.symbols)
+    ]
+    best = _least_relabeling(sig, n, relations)
+    return CanonicalForm(repr((n, sig.symbols, best)).encode("utf-8"))
+
+
+def _least_relabeling(
+    sig: Signature, n: int, relations: list[list[tuple[int, ...]]]
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The least relabeled relations over all relabelings of range(n).
+
+    A relabeling keeps each relation's size, so comparing sorted tuple lists
+    is comparing membership bits over all label words in lex order
+    (relations in signature order): at the first word where they differ, the
+    side where it is present is smaller.  The least relabeling thus has the
+    greatest bit string.  A row is a relation and a prefix of arity - 1
+    labels; its bits run over the last label, and rows come in string order.
+
+    The state is the labels handed out so far plus an ordered partition of
+    the other elements into cells, cell by cell the next label ranges.  A row
+    whose prefix names an unassigned label branches: each element of the
+    first cell in turn takes the next label, skipping one whose transposition
+    with an element already tried is an automorphism (its subtree is the
+    image of the other's).  Otherwise each cell splits into the row's members,
+    placed first, and the rest, which fixes the row's bits, keeps the earlier
+    rows' and leaves no better choice.  A branch whose bits fall below the
+    best leaf's is cut.  A leaf is reached when every cell is a single
+    element, or when the rows run out and every cell is uniform (any order
+    inside it gives the same string); leaves compare by their relabeled
+    relations, which is comparing the bits of the rows not yet read.  This is
+    individualization and refinement (McKay and Piperno, "Practical graph
+    isomorphism, II", 2014) aimed at the least encoding.
+    """
+    sets = [frozenset(tuples) for tuples in relations]
+    by_prefix: list[dict[tuple[int, ...], int]] = []  # prefix -> bit mask of last elements
+    for tuples in relations:
+        table: dict[tuple[int, ...], int] = {}
+        for t in tuples:
+            table[t[:-1]] = table.get(t[:-1], 0) | 1 << t[-1]
+        by_prefix.append(table)
+    # Rows are listed as far as the search reads them: a leaf comes within
+    # n rows of the first relation of arity 2 or more.
+    total = sum(n ** (arity - 1) for _, arity in sig.symbols)
+    row_source = (
+        (r, prefix, max(prefix, default=-1))
+        for r, (_, arity) in enumerate(sig.symbols)
+        for prefix in itertools.product(range(n), repeat=arity - 1)
+    )
+    rows: list[tuple[int, tuple[int, ...], int]] = []
+    best = None  # the least relabeled relations found so far
+    best_labeling: list[int] = []
+    best_rows: dict[int, int] = {}  # row bits of best_labeling, as read
+    twin_memo: dict[tuple[int, int], bool] = {}
+
+    def relabel(labeling: list[int]):
+        label = {x: i for i, x in enumerate(labeling)}
+        return tuple(
+            tuple(sorted(tuple(label[x] for x in t) for t in tuples)) for tuples in relations
         )
-        if best is None or relabeled < best:
-            best = relabeled
-    encoded = repr((y.size, y.sig.symbols, best)).encode("utf-8")
-    return CanonicalForm(encoded)
+
+    def refine(i: int, labeled: list[int], cells: list[list[int]]):
+        """Row i's bits (as an int, label 0 highest) and the cells split by
+        its members, members first."""
+        r, prefix, _ = rows[i]
+        row = by_prefix[r].get(tuple(labeled[l] for l in prefix), 0)
+        bits = 0
+        for x in labeled:
+            bits = bits << 1 | (row >> x & 1)
+        split = []
+        for cell in cells:
+            inside = [x for x in cell if row >> x & 1]
+            k, s = len(inside), len(cell)
+            bits = bits << s | ((1 << k) - 1) << (s - k)
+            if 0 < k < s:
+                split += [inside, [x for x in cell if not row >> x & 1]]
+            else:
+                split.append(cell)
+        return bits, split
+
+    def twins(d: int, e: int) -> bool:
+        if (d, e) not in twin_memo:
+            swap = {d: e, e: d}
+            twin_memo[d, e] = all(
+                tuple(swap.get(x, x) for x in t) in tuples
+                for tuples in sets
+                for t in tuples
+                if d in t or e in t
+            )
+        return twin_memo[d, e]
+
+    def search(i: int, labeled: list[int], cells: list[list[int]], ahead: bool) -> None:
+        # ``ahead``: the path's bits already beat the best leaf's on an
+        # earlier row, so no later row needs comparing.
+        nonlocal best, best_labeling
+        while len(cells) < n - len(labeled) and i < total:
+            if len(rows) == i:
+                rows.append(next(row_source))
+            if rows[i][2] >= len(labeled):
+                first, rest = cells[0], cells[1:]
+                tried: list[int] = []
+                for e in first:
+                    if any(twins(d, e) for d in tried):
+                        continue
+                    tried.append(e)
+                    others = [x for x in first if x != e]
+                    before = best
+                    search(i, labeled + [e], ([others] if others else []) + rest, ahead)
+                    if best is not before:
+                        ahead = False  # the new best leaf shares this path
+                return
+            bits, cells = refine(i, labeled, cells)
+            if not ahead and best is not None:
+                if i not in best_rows:
+                    best_rows[i] = refine(i, best_labeling, [])[0]
+                if bits < best_rows[i]:
+                    return
+                ahead = bits > best_rows[i]
+            i += 1
+        labeling = labeled + [x for cell in cells for x in cell]
+        form = relabel(labeling)
+        if best is None or form < best:
+            best, best_labeling = form, labeling
+            best_rows.clear()
+
+    search(0, [], [list(range(n))] if n else [], False)
+    return best
 
 
 def substructure_forms(y: Structure, n: int) -> dict[tuple[int, ...], CanonicalForm]:

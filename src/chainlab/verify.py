@@ -5,6 +5,7 @@ Each suite is a callable ``(rng, cases) -> SuiteResult`` registered in
 so the acceptance tests can rerun the same checks over their own, larger
 corpora.  Every dual-route check keeps its two sides separate: the
 type-purity chainability decision is compared against full-map enumeration,
+branch-and-bound canonical forms against the scan of all relabelings,
 structural definition matching against formula evaluation, sentence
 evaluation against direct canonical-form comparison.
 """
@@ -80,6 +81,8 @@ from .logic import (
     verify_definitions,
 )
 from .morphism import (
+    CANONICAL_SIZE_CAP,
+    CanonicalForm,
     PartialMap,
     _preserves,
     canonical_form,
@@ -145,6 +148,22 @@ def chainable_full(y: Structure, w: ChainWitness) -> bool:
         if not _preserves(y, mapping):
             return False
     return True
+
+
+def canonical_form_full(y: Structure) -> CanonicalForm:
+    """The canonical form by scanning all size! relabelings: the oracle for
+    the branch and bound of ``morphism.canonical_form``, with which it shares
+    only the encoding.  Uncapped and uncached."""
+    best = None
+    for perm in itertools.permutations(range(y.size)):
+        relabeled = tuple(
+            tuple(sorted(tuple(perm[x] for x in t) for t in tuples))
+            for tuples in y.relations
+        )
+        if best is None or relabeled < best:
+            best = relabeled
+    encoded = repr((y.size, y.sig.symbols, best)).encode("utf-8")
+    return CanonicalForm(encoded)
 
 
 def random_companion(rng: random.Random, m: int, k: int) -> Companion:
@@ -445,7 +464,7 @@ def monomorphic_check(sizes: Iterable[int]) -> tuple[int, list[str]]:
         if report.min_size != 0:
             failures.append(f"chain of size {m} has kernel size {report.min_size}")
             continue
-        values = profile(y, min(m, 8)).values
+        values = profile(y, min(m, CANONICAL_SIZE_CAP)).values
         if any(v != 1 for v in values):
             failures.append(f"chain of size {m} has profile {values}")
     return cases, failures
@@ -593,6 +612,8 @@ def _suite_iso_canonical_agree(rng, cases) -> SuiteResult:
         witness = find_isomorphism(y, relabeled)
         if witness is None or canonical_form(y) != canonical_form(relabeled):
             result.failures.append(f"relabeling not recognized on {y.relations}")
+        elif canonical_form(relabeled) != canonical_form_full(y):
+            result.failures.append(f"search and full-scan forms differ on {y.relations}")
         elif not _iso_witness_ok(y, relabeled, witness):
             result.failures.append(f"returned witness is not an isomorphism on {y.relations}")
     return result

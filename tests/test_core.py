@@ -15,6 +15,7 @@ from chainlab.core import (
     structure_from_dict,
     structure_to_dict,
     validate_companion_axioms,
+    words,
 )
 from chainlab.errors import DomainError, ParseError
 
@@ -80,6 +81,34 @@ class TestInducedSubstructure:
                             assert induced_substructure(inner, g) == induced_substructure(
                                 y, [hs[i] for i in g]
                             )
+
+    def test_matches_tuple_by_tuple_restriction(self):
+        # Small relations are read off the shared word table, large ones
+        # relabeled tuple by tuple; both must agree with the definition.
+        for y in (corpus.cyclic_order_structure(8), corpus.cycle_structure(30)):
+            for h in (range(0, y.size, 2), range(1, y.size), [0, 3, 4, 7]):
+                hs = sorted(h)
+                expected = {
+                    name: {tuple(hs.index(x) for x in t) for t in y.relation(name) if set(t) <= set(hs)}
+                    for name in y.sig.names
+                }
+                sub = induced_substructure(y, h)
+                assert {name: set(sub.relation(name)) for name in y.sig.names} == expected
+
+
+class TestWords:
+    def test_lexicographic_words(self):
+        for m, arity in ((0, 1), (1, 3), (3, 2), (5, 3), (30, 2)):
+            assert tuple(words(m, arity)) == tuple(itertools.product(range(m), repeat=arity))
+
+    def test_small_tables_are_shared_and_large_ones_are_not(self):
+        assert words(6, 3) is words(6, 3)
+        assert words(30, 2) is not words(30, 2)
+
+    def test_structures_share_word_tuples(self):
+        table = {id(w) for w in words(4, 3)}
+        sub = induced_substructure(corpus.cyclic_order_structure(7), [0, 2, 3, 6])
+        assert sub.relation("C") and all(id(t) in table for t in sub.relation("C"))
 
 
 class TestReduct:

@@ -1,8 +1,10 @@
 import itertools
+import random
+import time
 
 import pytest
 
-from chainlab import corpus
+from chainlab import corpus, morphism
 from chainlab.core import induced_substructure, structure
 from chainlab.errors import DomainError, UnsupportedSizeError
 from chainlab.morphism import (
@@ -13,6 +15,7 @@ from chainlab.morphism import (
     is_partial_automorphism,
     substructure_forms,
 )
+from chainlab.verify import canonical_form_full, random_structures
 
 
 def brute_force_partial_automorphisms(y, max_dom):
@@ -168,6 +171,57 @@ class TestCanonicalForm:
                 }
                 forms = substructure_forms(y, n)
                 assert list(forms.items()) == list(direct.items())
+
+    def test_matches_full_scan(self):
+        inputs = [y for m in range(5) for y in corpus.all_binary_structures(m)]
+        inputs += random_structures(random.Random(6), 120, sizes=(5, 6), arity=(1, 3))
+        # A 4-ary relation on 5 points has more words than a bit-mask key
+        # covers, so these are keyed by their sorted members.
+        inputs += random_structures(random.Random(7), 8, sizes=(5,), arity=(4, 4))
+        for y in (corpus.cycle_structure(8), corpus.cyclic_order_structure(8)):
+            # Induced substructures repeat (every k-subset of the cyclic
+            # order induces the same one); each distinct one is scanned once.
+            subs = {
+                induced_substructure(y, h)
+                for k in range(1, 9)
+                for h in itertools.combinations(range(8), k)
+            }
+            inputs += sorted(subs, key=lambda z: (z.size, sorted(map(sorted, z.relations))))
+        assert {y.size for y in inputs} == set(range(9))
+        for y in inputs:
+            assert canonical_form(y) == canonical_form_full(y), y
+
+    @pytest.mark.parametrize("name", ["empty2", "empty3", "complete", "cyclic", "co-C8", "Q3", "K44"])
+    def test_symmetric_eight_point_structures_are_fast(self, name):
+        # Each has a large automorphism group: without the twin cut, or with
+        # a cut that misses, the search visits about 8! leaves.
+        pairs = [(a, b) for a in range(8) for b in range(8) if a != b]
+        c8 = corpus.cycle_structure(8).relation("E")
+        edges = {
+            "empty2": [],
+            "complete": pairs,
+            "co-C8": [p for p in pairs if p not in c8],
+            "Q3": [(a, b) for a, b in pairs if bin(a ^ b).count("1") == 1],
+            "K44": [(a, b) for a, b in pairs if (a < 4) != (b < 4)],
+        }
+        if name == "empty3":
+            y = corpus.empty_relation_structure(8, arity=3)
+        elif name == "cyclic":
+            y = corpus.cyclic_order_structure(8)
+        else:
+            y = structure(8, {"E": edges[name]}, [("E", 2)])
+        morphism._canonical_form_cached.cache_clear()
+        start = time.perf_counter()
+        form = canonical_form(y)
+        assert time.perf_counter() - start < 0.1
+        shuffled = list(range(8))
+        random.Random(8).shuffle(shuffled)
+        relabeled = structure(
+            8,
+            {y.sig.names[0]: [tuple(shuffled[x] for x in t) for t in y.relations[0]]},
+            y.sig,
+        )
+        assert canonical_form(relabeled) == form
 
     def test_hex_serialization(self, c5):
         form = canonical_form(c5)
