@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from . import corpus, verify
+from . import corpus
 from .chainability import ChainWitness, find_chain_order, is_chainable_with, kernel, profile
 from .chainability import age_forms, age_subset
 from .core import (
@@ -182,6 +182,8 @@ def _cmd_gen(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
+    from . import verify  # only this verb needs the suites
+
     results = verify.run_suites(only=args.only, seed=args.seed, cases=args.cases)
     return {
         "suites": [r.to_dict() for r in results],

@@ -1,13 +1,17 @@
 """Named invariant suites: exhaustive at small scale, seeded beyond.
 
-Each suite is a callable ``(rng, cases) -> SuiteResult`` registered in
-``SUITES``.  The heavy lifting lives in scope-parameterized check functions
-so the acceptance tests can rerun the same checks over their own, larger
-corpora.  Every dual-route check keeps its two sides separate: the
-type-purity chainability decision is compared against full-map enumeration,
-branch-and-bound canonical forms against the scan of all relabelings,
-structural definition matching against formula evaluation, sentence
-evaluation against direct canonical-form comparison.
+``SUITES`` maps each suite name to a pair (scope, check).  The scope builder
+takes the run's shared corpora and the suite's own generator and returns the
+check's arguments; the check returns ``(cases, failures)``.  The corpora that
+several suites read (the small binary corpus, its reduction-oracle sweep and
+the enumerated chaining-order families) are built at most once per
+``run_suites`` call.  The checks are scope-parameterized, so the acceptance
+tests rerun the same checks over their own, larger corpora.  Every dual-route
+check keeps its two sides separate: the type-purity chainability decision is
+compared against full-map enumeration, branch-and-bound canonical forms
+against the scan of all relabelings, structural definition matching against
+formula evaluation, sentence evaluation against direct canonical-form
+comparison.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from functools import cached_property, lru_cache, wraps
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .chainability import (
     ChainWitness,
@@ -51,7 +55,7 @@ from .corpus import (
     pentagon_cyclic_order,
     unary_structure,
 )
-from .errors import DomainError
+from .errors import DomainError, UnsupportedSizeError
 from .formulas import (
     And,
     Eq,
@@ -90,6 +94,10 @@ from .morphism import (
     find_isomorphism,
     is_partial_automorphism,
 )
+
+VERIFY_CASES_CAP = 5000
+"""The largest ``cases`` that ``run_suites`` accepts.  Most suites grow
+linearly with it; all 22 take 22–26 s at the cap on a 2-core host."""
 
 
 @dataclass
@@ -172,21 +180,27 @@ def random_companion(rng: random.Random, m: int, k: int) -> Companion:
     return companion_structure(m, elements[:k], elements[k:])
 
 
-def realizable_types(x: Companion, arity: int) -> list[LiteralType]:
-    pool = {
-        literal_type(x, point)
-        for point in itertools.product(range(x.size), repeat=arity)
-    }
-    return sorted(pool, key=LiteralType.sort_key)
-
-
 def random_definition_set(rng: random.Random, x: Companion, sig: Signature):
     entries = []
     for name, arity in sig.symbols:
-        pool = realizable_types(x, arity)
+        realizable = {
+            literal_type(x, point)
+            for point in itertools.product(range(x.size), repeat=arity)
+        }
+        pool = sorted(realizable, key=LiteralType.sort_key)
         chosen = [t for t in pool if rng.random() < 0.5]
         entries.append((name, arity, chosen))
     return make_definition_set(entries)
+
+
+def _generated(rng: random.Random, sig: Signature, k_max: int):
+    """A random companion on 1..5 points with at most ``k_max`` marks, random
+    definitions over it, and the structure they generate."""
+    m = rng.randint(1, 5)
+    k = rng.randint(0, min(m, k_max))
+    x = random_companion(rng, m, k)
+    defs = random_definition_set(rng, x, sig)
+    return x, defs, apply_definitions(x, defs, sig)
 
 
 def random_formula(
@@ -228,10 +242,6 @@ def random_formula(
     return build(depth, quantifiers)
 
 
-def _spread(rng: random.Random) -> int:
-    return rng.getrandbits(63)
-
-
 def small_binary_corpus() -> list[Structure]:
     out = []
     for m in range(4):
@@ -247,7 +257,7 @@ def random_structures(
         out.append(
             generate(
                 RandomSpec(
-                    seed=_spread(rng),
+                    seed=rng.getrandbits(63),
                     size=rng.choice(sizes),
                     symbols=rng.choice(symbols),
                     arity_min=arity[0],
@@ -257,6 +267,58 @@ def random_structures(
             )
         )
     return out
+
+
+def _at_most(rng: random.Random, items: list, k: int) -> list:
+    """All of ``items``, or k of them drawn at random when there are more."""
+    return rng.sample(items, k) if len(items) > k else items
+
+
+def _nonempty_subsets(n: int) -> list[tuple[int, ...]]:
+    return [h for size in range(1, n + 1) for h in itertools.combinations(range(n), size)]
+
+
+def _sampled_witnesses(
+    rng: random.Random, structures: Iterable[Structure], k: int
+) -> list[tuple[Structure, ChainWitness]]:
+    """Each structure with every witness on its domain, or with k of them
+    drawn at random when there are more."""
+    return [(y, w) for y in structures for w in _at_most(rng, all_witnesses(y.size), k)]
+
+
+def _fixture_witnesses() -> list[tuple[Structure, ChainWitness]]:
+    """A chaining witness over the first two points of each fixture on at
+    most 6 points that has one."""
+    pairs = []
+    for y in fixture_structures():
+        f = frozenset(range(min(2, y.size)))
+        order = find_chain_order(y, f) if y.size <= 6 else None
+        if order is not None:
+            pairs.append((y, ChainWitness(f, order)))
+    return pairs
+
+
+def _subsignatures(sig: Signature) -> list[list[str]]:
+    names = list(sig.names)
+    out = []
+    for r in range(len(names) + 1):
+        out.extend(list(keep) for keep in itertools.combinations(names, r))
+    return out
+
+
+def _tallied(
+    outcomes: Callable[..., Iterator[bool | str]]
+) -> Callable[..., tuple[int, list[str]]]:
+    """Turn a generator that yields, for each case, True when it passes and
+    a failure message when it fails into a check that returns
+    ``(cases, failures)``."""
+
+    @wraps(outcomes)
+    def check(*args, **kwargs) -> tuple[int, list[str]]:
+        results = list(outcomes(*args, **kwargs))
+        return len(results), [r for r in results if r is not True]
+
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -274,101 +336,80 @@ def reduction_oracle_sweep(structures: Iterable[Structure]) -> SweepOutcome:
     """Compare the type-purity chainability decision against the full-map
     oracle on every (frozen set, order) pair of every structure, collecting
     the chainable pairs for downstream checks."""
-    cases = 0
-    failures: list[str] = []
-    chainable: list[tuple[Structure, ChainWitness]] = []
-    for y in structures:
-        for w in all_witnesses(y.size):
-            cases += 1
-            decision = is_chainable_with(y, w)
-            full = chainable_full(y, w)
-            if decision != full:
-                failures.append(
-                    f"decision={decision} full={full} on {y.relations} with "
-                    f"F={sorted(w.f_set)} order={w.rest_order}"
-                )
-            elif decision:
-                chainable.append((y, w))
-    return SweepOutcome(cases, failures, chainable)
+    return _decision_sweep((y, w) for y in structures for w in all_witnesses(y.size))
 
 
-def roundtrip_check(
-    pairs: Iterable[tuple[Structure, ChainWitness]]
-) -> tuple[int, list[str]]:
+def _decision_sweep(pairs: Iterable[tuple[Structure, ChainWitness]]) -> SweepOutcome:
+    outcome = SweepOutcome(0, [], [])
+    for y, w in pairs:
+        outcome.cases += 1
+        decision = is_chainable_with(y, w)
+        full = chainable_full(y, w)
+        if decision != full:
+            outcome.failures.append(
+                f"decision={decision} full={full} on {y.relations} with "
+                f"F={sorted(w.f_set)} order={w.rest_order}"
+            )
+        elif decision:
+            outcome.chainable.append((y, w))
+    return outcome
+
+
+@_tallied
+def roundtrip_check(pairs: Iterable[tuple[Structure, ChainWitness]]):
     """Definability round trip on chainable pairs: extraction must succeed,
     applying the definitions must rebuild the structure bit-exactly, and the
     rendered formulas must agree with membership on every tuple."""
-    cases = 0
-    failures = []
     for y, w in pairs:
-        cases += 1
         x = witness_companion(w)
         try:
             defs = extract_definitions(x, y)
         except Exception as exc:  # noqa: BLE001 - reported, not raised
-            failures.append(f"extraction failed on chainable pair: {exc}")
+            yield f"extraction failed on chainable pair: {exc}"
             continue
-        rebuilt = apply_definitions(x, defs, y.sig)
-        if rebuilt != y:
-            failures.append(f"round trip changed the structure: {y.relations}")
-            continue
-        if not verify_definitions(x, y, defs):
-            failures.append(f"rendered definitions disagree with membership: {y.relations}")
-    return cases, failures
+        if apply_definitions(x, defs, y.sig) != y:
+            yield f"round trip changed the structure: {y.relations}"
+        else:
+            yield verify_definitions(x, y, defs) or (
+                f"rendered definitions disagree with membership: {y.relations}"
+            )
 
 
-def profile_bound_check(structures: Iterable[Structure]) -> tuple[int, list[str]]:
+@_tallied
+def profile_bound_check(structures: Iterable[Structure]):
     """Kernel size k must bound every profile value by 2**k."""
-    cases = 0
-    failures = []
     for y in structures:
         if y.size == 0:
             continue
-        cases += 1
         report = kernel(y, y.size)
         if report.min_size is None:
-            failures.append(f"no kernel within the domain on {y.relations}")
-            continue
-        if not check_profile_bound(y, report.min_size, y.size):
-            values = profile(y, y.size).values
-            failures.append(
-                f"profile {values} exceeds 2^{report.min_size} on {y.relations}"
+            yield f"no kernel within the domain on {y.relations}"
+        else:
+            yield check_profile_bound(y, report.min_size, y.size) or (
+                f"profile {profile(y, y.size).values} exceeds 2^{report.min_size} "
+                f"on {y.relations}"
             )
-    return cases, failures
 
 
-def trace_check(
-    pairs: Iterable[tuple[Structure, ChainWitness]]
-) -> tuple[int, list[str]]:
+@_tallied
+def trace_check(pairs: Iterable[tuple[Structure, ChainWitness]]):
     """Equal frozen-set traces must give isomorphic substructures, for every
     chainable pair and every substructure size."""
-    cases = 0
-    failures = []
     for y, w in pairs:
         for n in range(1, y.size + 1):
-            cases += 1
-            if not check_trace_isomorphism(y, w, n):
-                failures.append(
-                    f"trace classes not isomorphic at n={n} on {y.relations} "
-                    f"with F={sorted(w.f_set)}"
-                )
-    return cases, failures
+            yield check_trace_isomorphism(y, w, n) or (
+                f"trace classes not isomorphic at n={n} on {y.relations} "
+                f"with F={sorted(w.f_set)}"
+            )
 
 
-def _subsignatures(sig: Signature) -> list[list[str]]:
-    names = list(sig.names)
-    out = []
-    for r in range(len(names) + 1):
-        out.extend(list(keep) for keep in itertools.combinations(names, r))
-    return out
-
-
+@_tallied
 def age_sentence_check(
     structures: Sequence[Structure],
     rng: random.Random | None = None,
     max_n: int = 3,
     foreign_fraction: float = 0.0,
-) -> tuple[int, list[str]]:
+):
     """Sentence evaluation must agree with direct age comparison.
 
     Each structure is tested against its own age representatives for every
@@ -377,8 +418,6 @@ def age_sentence_check(
     of a reference chain over the same signature), exercising the negative
     branch of the agreement.
     """
-    cases = 0
-    failures = []
     for y in structures:
         for n in range(1, min(max_n, y.size) + 1):
             families = [age_representatives(y, n)]
@@ -391,39 +430,29 @@ def age_sentence_check(
                 families.append(age_representatives(chain_structure(max(y.size, n), "E"), n))
             for family in families:
                 for keep in _subsignatures(y.sig):
-                    cases += 1
-                    if not check_age_sentence_agreement(family, keep, y):
-                        failures.append(
-                            f"sentence/direct disagreement: n={n} keep={keep} "
-                            f"on {y.relations}"
-                        )
-    return cases, failures
+                    yield check_age_sentence_agreement(family, keep, y) or (
+                        f"sentence/direct disagreement: n={n} keep={keep} on {y.relations}"
+                    )
 
 
-def star_translation_check(seed: int, cases: int) -> tuple[int, list[str]]:
+@_tallied
+def star_translation_check(seed: int, cases: int):
     """Evaluating a translated formula on the companion must match evaluating
     the original on the structure the definitions generate."""
     rng = random.Random(seed)
     sig = Signature((("E", 2), ("U", 1)))
     variables = ("x0", "x1", "x2")
-    failures = []
     for i in range(cases):
-        m = rng.randint(1, 5)
-        k = rng.randint(0, min(m, 3))
-        x = random_companion(rng, m, k)
-        defs = random_definition_set(rng, x, sig)
-        generated = apply_definitions(x, defs, sig)
+        x, defs, generated = _generated(rng, sig, 3)
         f = random_formula(rng, sig, variables, depth=4, quantifiers=3)
         translated = star_translate(f, defs)
-        assignment = {v: rng.randrange(m) for v in variables}
+        assignment = {v: rng.randrange(x.size) for v in variables}
         on_companion = eval_formula(translated, companion_as_structure(x), assignment)
         on_structure = eval_formula(f, generated, assignment)
-        if on_companion != on_structure:
-            failures.append(
-                f"case {i}: companion={on_companion} structure={on_structure} "
-                f"m={m} k={k} assignment={assignment}"
-            )
-    return cases, failures
+        yield on_companion == on_structure or (
+            f"case {i}: companion={on_companion} structure={on_structure} "
+            f"m={x.size} k={len(x.constants)} assignment={assignment}"
+        )
 
 
 def reversal_closure_check(
@@ -453,126 +482,82 @@ def reversal_closure_check(
     return cases, failures, families
 
 
-def monomorphic_check(sizes: Iterable[int]) -> tuple[int, list[str]]:
+@_tallied
+def monomorphic_check(sizes: Iterable[int]):
     """Linear orders must report an empty kernel and a profile identically 1."""
-    cases = 0
-    failures = []
     for m in sizes:
-        cases += 1
         y = chain_structure(m)
         report = kernel(y, 1)
         if report.min_size != 0:
-            failures.append(f"chain of size {m} has kernel size {report.min_size}")
+            yield f"chain of size {m} has kernel size {report.min_size}"
             continue
         values = profile(y, min(m, CANONICAL_SIZE_CAP)).values
-        if any(v != 1 for v in values):
-            failures.append(f"chain of size {m} has profile {values}")
-    return cases, failures
+        yield all(v == 1 for v in values) or f"chain of size {m} has profile {values}"
 
 
 # ---------------------------------------------------------------------------
-# Suites
+# Suite checks
 
 
-def _suite_core_restriction_composition(rng, cases) -> SuiteResult:
-    result = SuiteResult("core-restriction-composition", 0)
-    corpus = small_binary_corpus() + fixture_structures() + random_structures(rng, cases // 10 + 1)
+@_tallied
+def _restriction_composition_check(rng: random.Random, corpus: Iterable[Structure]):
     for y in corpus:
-        if y.size == 0:
-            continue
-        subsets = [
-            h
-            for size in range(1, y.size + 1)
-            for h in itertools.combinations(range(y.size), size)
-        ]
-        if len(subsets) > 20:
-            subsets = rng.sample(subsets, 20)
-        for h in subsets:
+        for h in _at_most(rng, _nonempty_subsets(y.size), 20):
             inner = induced_substructure(y, h)
-            inner_subsets = [
-                g
-                for size in range(1, inner.size + 1)
-                for g in itertools.combinations(range(inner.size), size)
-            ]
-            if len(inner_subsets) > 10:
-                inner_subsets = rng.sample(inner_subsets, 10)
-            hs = sorted(h)
-            for g in inner_subsets:
-                result.cases += 1
-                two_step = induced_substructure(inner, g)
-                one_step = induced_substructure(y, [hs[i] for i in g])
-                if two_step != one_step:
-                    result.failures.append(f"composition mismatch on {y.relations} h={h} g={g}")
-    return result
+            for g in _at_most(rng, _nonempty_subsets(inner.size), 10):
+                one_step = induced_substructure(y, [h[i] for i in g])
+                yield induced_substructure(inner, g) == one_step or (
+                    f"composition mismatch on {y.relations} h={h} g={g}"
+                )
 
 
-def _suite_core_reduct_commute(rng, cases) -> SuiteResult:
-    result = SuiteResult("core-reduct-commute", 0)
-    corpus = random_structures(rng, max(cases // 5, 20), sizes=(3, 4, 5), symbols=(2,))
+@_tallied
+def _reduct_commute_check(rng: random.Random, corpus: Iterable[Structure]):
     for y in corpus:
-        if y.size == 0:
-            continue
         for _ in range(5):
             size = rng.randint(1, y.size)
             h = rng.sample(range(y.size), size)
             for keep in _subsignatures(y.sig):
-                result.cases += 1
                 a = reduct(induced_substructure(y, h), keep)
                 b = induced_substructure(reduct(y, keep), h)
-                if a != b:
-                    result.failures.append(f"reduct/restrict mismatch on {y.relations}")
-    return result
+                yield a == b or f"reduct/restrict mismatch on {y.relations}"
 
 
-def _suite_companion_axioms(rng, cases) -> SuiteResult:
-    result = SuiteResult("companion-axioms", 0)
-    for _ in range(max(cases, 50)):
+@_tallied
+def _companion_axioms_check(rng: random.Random, count: int):
+    for _ in range(count):
         m = rng.randint(0, 6)
         k = rng.randint(0, m)
         x = random_companion(rng, m, k)
-        result.cases += 1
-        if not all(validate_companion_axioms(x)):
-            result.failures.append(f"constructed companion fails axioms: {x}")
+        yield all(validate_companion_axioms(x)) or f"constructed companion fails axioms: {x}"
     # Hand-built violations must be caught by the right check.
     swapped = Companion(3, (0, 1, 2), (1, 0))
-    result.cases += 1
-    if validate_companion_axioms(swapped)[2]:
-        result.failures.append("mark-order violation not detected")
+    yield not validate_companion_axioms(swapped)[2] or "mark-order violation not detected"
     stray = Companion(3, (0, 1, 2), (0, 2))
-    result.cases += 1
-    if validate_companion_axioms(stray)[3]:
-        result.failures.append("initial-segment violation not detected")
-    return result
+    yield not validate_companion_axioms(stray)[3] or "initial-segment violation not detected"
 
 
-def _suite_pa_restriction_closure(rng, cases) -> SuiteResult:
-    result = SuiteResult("pa-restriction-closure", 0)
-    corpus = fixture_structures() + random_structures(rng, max(cases // 20, 5), sizes=(4, 5))
+@_tallied
+def _pa_restriction_check(corpus: Iterable[Structure]):
     for y in corpus:
         for p in enumerate_partial_automorphisms(y, min(y.size, 3)):
             for r in range(len(p.pairs)):
                 for sub in itertools.combinations(p.pairs, r):
-                    result.cases += 1
-                    if not is_partial_automorphism(y, PartialMap(sub)):
-                        result.failures.append(
-                            f"restriction {sub} of {p.pairs} fails on {y.relations}"
-                        )
-    return result
+                    yield is_partial_automorphism(y, PartialMap(sub)) or (
+                        f"restriction {sub} of {p.pairs} fails on {y.relations}"
+                    )
 
 
-def _suite_pa_reversal_chains(rng, cases) -> SuiteResult:
-    result = SuiteResult("pa-reversal-chains", 0)
-    for r in range(6):
+@_tallied
+def _pa_reversal_check(sizes: Iterable[int]):
+    for r in sizes:
         forward = chain_structure(r)
         backward = structure(
             r, {"lt": [(i, j) for i in range(r) for j in range(r) if i > j]}, [("lt", 2)]
         )
         fwd = {p.pairs for p in enumerate_partial_automorphisms(forward, r)}
         bwd = {p.pairs for p in enumerate_partial_automorphisms(backward, r)}
-        result.cases += 1
-        if fwd != bwd:
-            result.failures.append(f"chain of size {r}: reversal changes the map set")
-    return result
+        yield fwd == bwd or f"chain of size {r}: reversal changes the map set"
 
 
 def _iso_witness_ok(a: Structure, b: Structure, p: PartialMap) -> bool:
@@ -585,17 +570,14 @@ def _iso_witness_ok(a: Structure, b: Structure, p: PartialMap) -> bool:
     )
 
 
-def _suite_iso_canonical_agree(rng, cases) -> SuiteResult:
-    result = SuiteResult("iso-canonical-agree", 0)
+@_tallied
+def _iso_canonical_check(rng: random.Random, small: list[Structure], extra: list[Structure]):
     for m in (2, 3):
-        reps = all_binary_structures(m)
+        reps = [y for y in small if y.size == m]
         for a, b in itertools.combinations(reps, 2):
-            result.cases += 1
-            witness = find_isomorphism(a, b)
-            if witness is not None or canonical_form(a) == canonical_form(b):
-                result.failures.append("distinct representatives look isomorphic")
-    pool = small_binary_corpus() + random_structures(rng, max(cases // 10, 10))
-    for y in pool:
+            apart = find_isomorphism(a, b) is None and canonical_form(a) != canonical_form(b)
+            yield apart or "distinct representatives look isomorphic"
+    for y in small + extra:
         if y.size == 0:
             continue
         perm = list(range(y.size))
@@ -608,145 +590,85 @@ def _suite_iso_canonical_agree(rng, cases) -> SuiteResult:
                 for tuples in y.relations
             ),
         )
-        result.cases += 1
         witness = find_isomorphism(y, relabeled)
         if witness is None or canonical_form(y) != canonical_form(relabeled):
-            result.failures.append(f"relabeling not recognized on {y.relations}")
+            yield f"relabeling not recognized on {y.relations}"
         elif canonical_form(relabeled) != canonical_form_full(y):
-            result.failures.append(f"search and full-scan forms differ on {y.relations}")
-        elif not _iso_witness_ok(y, relabeled, witness):
-            result.failures.append(f"returned witness is not an isomorphism on {y.relations}")
-    return result
+            yield f"search and full-scan forms differ on {y.relations}"
+        else:
+            yield _iso_witness_ok(y, relabeled, witness) or (
+                f"returned witness is not an isomorphism on {y.relations}"
+            )
 
 
-def _suite_reduction_oracle(rng, cases) -> SuiteResult:
-    outcome = reduction_oracle_sweep(small_binary_corpus())
-    extra = random_structures(rng, max(cases // 10, 10), sizes=(4, 5), arity=(1, 3))
-    for y in extra:
-        witnesses = all_witnesses(y.size)
-        for w in rng.sample(witnesses, min(len(witnesses), 12)):
-            outcome.cases += 1
-            if is_chainable_with(y, w) != chainable_full(y, w):
-                outcome.failures.append(
-                    f"decision/full disagreement on random {y.relations} F={sorted(w.f_set)}"
-                )
-    return SuiteResult("reduction-oracle", outcome.cases, outcome.failures)
+def _reduction_check(
+    sweep: SweepOutcome, sampled: Iterable[tuple[Structure, ChainWitness]]
+) -> tuple[int, list[str]]:
+    extra = _decision_sweep(sampled)
+    return sweep.cases + extra.cases, sweep.failures + extra.failures
 
 
-def _suite_chain_reversal(rng, cases) -> SuiteResult:
-    result = SuiteResult("chain-reversal", 0)
-    for y in small_binary_corpus() + random_structures(rng, max(cases // 20, 5)):
-        witnesses = all_witnesses(y.size)
-        if len(witnesses) > 30:
-            witnesses = rng.sample(witnesses, 30)
-        for w in witnesses:
-            result.cases += 1
-            reversed_w = ChainWitness(w.f_set, tuple(reversed(w.rest_order)))
-            if is_chainable_with(y, w) != is_chainable_with(y, reversed_w):
-                result.failures.append(
-                    f"reversal changes chainability on {y.relations} F={sorted(w.f_set)}"
-                )
-    return result
+@_tallied
+def _witness_reversal_check(pairs: Iterable[tuple[Structure, ChainWitness]]):
+    for y, w in pairs:
+        reversed_w = ChainWitness(w.f_set, tuple(reversed(w.rest_order)))
+        yield is_chainable_with(y, w) == is_chainable_with(y, reversed_w) or (
+            f"reversal changes chainability on {y.relations} F={sorted(w.f_set)}"
+        )
 
 
-def _suite_chain_monotonicity(rng, cases) -> SuiteResult:
+@_tallied
+def _monotonicity_check(chainable: Iterable[tuple[Structure, ChainWitness]]):
     # Freezing an interior element of the order can break chainability (an
     # increasing singleton map may jump across the frozen point; the linear
     # order on three points witnesses this), so monotonicity only holds for
     # the endpoints of the witness order.
-    result = SuiteResult("chain-monotonicity", 0)
-    for y in small_binary_corpus():
-        for w in all_witnesses(y.size):
-            if not w.rest_order or not is_chainable_with(y, w):
-                continue
-            for x in (w.rest_order[0], w.rest_order[-1]):
-                result.cases += 1
-                grown = ChainWitness(
-                    w.f_set | {x}, tuple(e for e in w.rest_order if e != x)
-                )
-                if not is_chainable_with(y, grown):
-                    result.failures.append(
-                        f"freezing endpoint {x} breaks chainability on {y.relations}"
-                    )
-    return result
-
-
-def _suite_profile_bound(rng, cases) -> SuiteResult:
-    corpus = small_binary_corpus() + fixture_structures()
-    corpus += random_structures(rng, max(cases // 20, 5), sizes=(4, 5))
-    n, failures = profile_bound_check(corpus)
-    return SuiteResult("profile-bound", n, failures)
-
-
-def _suite_trace_isomorphism(rng, cases) -> SuiteResult:
-    outcome = reduction_oracle_sweep(small_binary_corpus())
-    pairs = outcome.chainable
-    extra = [y for y in fixture_structures() if y.size <= 6]
-    for y in extra:
-        order = find_chain_order(y, range(min(2, y.size)))
-        if order is not None:
-            pairs.append((y, ChainWitness(frozenset(range(min(2, y.size))), order)))
-    n, failures = trace_check(pairs)
-    return SuiteResult("trace-isomorphism", n, failures)
-
-
-def _suite_age_transfer(rng, cases) -> SuiteResult:
-    result = SuiteResult("age-transfer", 0)
-    reps = small_binary_corpus()
-    kernels = {i: kernel(y, y.size).min_size for i, y in enumerate(reps)}
-    pairs = []
-    for zi, z in enumerate(reps):
-        if z.size == 0:
+    for y, w in chainable:
+        if not w.rest_order:
             continue
-        for yi, y in enumerate(reps):
-            if y.size >= z.size > 0:
-                pairs.append((zi, yi))
-    if len(pairs) > max(cases * 20, 2000):
-        pairs = rng.sample(pairs, max(cases * 20, 2000))
-    for zi, yi in pairs:
-        z, y = reps[zi], reps[yi]
-        if all(age_subset(z, y, n) for n in range(1, z.size + 1)):
-            result.cases += 1
-            if kernels[zi] > kernels[yi]:
-                result.failures.append(
-                    f"age containment with kernel {kernels[zi]} > {kernels[yi]}"
-                )
-    return result
-
-
-def _suite_definability_roundtrip(rng, cases) -> SuiteResult:
-    outcome = reduction_oracle_sweep(all_binary_structures(3))
-    n, failures = roundtrip_check(outcome.chainable)
-    result = SuiteResult("definability-roundtrip", n, failures)
-    # Converse direction: structures generated from random definitions are
-    # chainable over the defining companion.
-    sig = Signature((("E", 2), ("U", 1)))
-    for _ in range(max(cases, 100)):
-        m = rng.randint(1, 5)
-        k = rng.randint(0, min(m, 2))
-        x = random_companion(rng, m, k)
-        defs = random_definition_set(rng, x, sig)
-        y = apply_definitions(x, defs, sig)
-        w = ChainWitness(frozenset(x.constants), x.rest)
-        result.cases += 1
-        if not is_chainable_with(y, w):
-            result.failures.append(
-                f"generated structure not chainable over its companion: {y.relations}"
+        for x in (w.rest_order[0], w.rest_order[-1]):
+            grown = ChainWitness(w.f_set | {x}, tuple(e for e in w.rest_order if e != x))
+            yield is_chainable_with(y, grown) or (
+                f"freezing endpoint {x} breaks chainability on {y.relations}"
             )
-    return result
 
 
-def _suite_star_translation(rng, cases) -> SuiteResult:
-    n, failures = star_translation_check(seed=rng.getrandbits(32), cases=max(cases, 300))
-    return SuiteResult("star-translation", n, failures)
+@_tallied
+def _age_transfer_check(rng: random.Random, reps: list[Structure], limit: int):
+    kernels = {y: kernel(y, y.size).min_size for y in reps}
+    pairs = [(z, y) for z in reps for y in reps if y.size >= z.size > 0]
+    for z, y in _at_most(rng, pairs, limit):
+        if all(age_subset(z, y, n) for n in range(1, z.size + 1)):
+            yield kernels[z] <= kernels[y] or (
+                f"age containment with kernel {kernels[z]} > {kernels[y]}"
+            )
 
 
-def _suite_quotient_translation(rng, cases) -> SuiteResult:
-    result = SuiteResult("quotient-translation", 0)
+def _definability_check(
+    chainable: Iterable[tuple[Structure, ChainWitness]], rng: random.Random, count: int
+) -> tuple[int, list[str]]:
+    cases, failures = roundtrip_check(chainable)
+    more, more_failures = _generated_chainable_check(rng, count)
+    return cases + more, failures + more_failures
+
+
+@_tallied
+def _generated_chainable_check(rng: random.Random, count: int):
+    # The converse of the round trip: structures generated from random
+    # definitions are chainable over the defining companion.
+    for _ in range(count):
+        x, _, y = _generated(rng, Signature((("E", 2), ("U", 1))), 2)
+        yield is_chainable_with(y, ChainWitness(frozenset(x.constants), x.rest)) or (
+            f"generated structure not chainable over its companion: {y.relations}"
+        )
+
+
+@_tallied
+def _quotient_check(rng: random.Random, count: int):
     sig = Signature((("E0", 2), ("E1", 2), ("U0", 1), ("U1", 1)))
     mapping = {"E1": "E0", "U1": "U0"}
     variables = ("x0", "x1")
-    for _ in range(max(cases, 200)):
+    for _ in range(count):
         m = rng.randint(1, 5)
         edges = {
             (a, b)
@@ -762,208 +684,260 @@ def _suite_quotient_translation(rng, cases) -> SuiteResult:
         f = random_formula(rng, sig, variables, depth=4, quantifiers=2)
         translated = quotient_translate(f, mapping, sig)
         assignment = {v: rng.randrange(m) for v in variables}
-        result.cases += 1
-        if eval_formula(f, z, assignment) != eval_formula(translated, reduced, assignment):
-            result.failures.append(f"quotient translation changed truth on {z.relations}")
-    return result
+        same = eval_formula(f, z, assignment) == eval_formula(translated, reduced, assignment)
+        yield same or f"quotient translation changed truth on {z.relations}"
 
 
-def _suite_age_sentence(rng, cases) -> SuiteResult:
-    corpus = all_binary_structures(2) + all_binary_structures(3)
-    sample = rng.sample(all_binary_structures(4), min(30, cases))
-    n, failures = age_sentence_check(
-        corpus + sample, rng=rng, max_n=3, foreign_fraction=0.3
-    )
-    return SuiteResult("age-sentence", n, failures)
-
-
-def _all_companions(m: int) -> list[Companion]:
-    """Every companion on m points: each permutation split into a marked
-    prefix (in order) and an ordered rest."""
-    out = []
-    for perm in itertools.permutations(range(m)):
-        for k in range(m + 1):
-            out.append(companion_structure(m, perm[:k], perm[k:]))
+def _companion_scope(rng: random.Random, count: int) -> list[Companion]:
+    """Every companion on 1 to 3 points (each permutation split into a marked
+    prefix and an ordered rest), then ``count`` random ones on 4 or 5."""
+    out = [
+        companion_structure(m, perm[:k], perm[k:])
+        for m in range(1, 4)
+        for perm in itertools.permutations(range(m))
+        for k in range(m + 1)
+    ]
+    for _ in range(count):
+        m = rng.randint(4, 5)
+        out.append(random_companion(rng, m, rng.randint(0, min(m, 3))))
     return out
 
 
-def _check_literal_type_partition(x: Companion, result: SuiteResult) -> None:
+@_tallied
+def _literal_type_partition_check(companions: Iterable[Companion]):
     """Type equality must coincide with satisfying the same companion
     literals; the fingerprints below read the literals straight off the
-    companion-as-structure relations, independent of the type computation."""
-    xs = companion_as_structure(x)
-    order_rel = xs.relation("R")
-    marks = [xs.relation(f"U{c}") for c in range(len(x.constants))]
-    for arity in (1, 2, 3):
-        points = list(itertools.product(range(x.size), repeat=arity))
+    companion-as-structure relations, independent of the type computation.
+    The two partitions of the points are equal exactly when pairing each
+    point's type with its fingerprint makes no more classes than either."""
+    for x in companions:
+        xs = companion_as_structure(x)
+        order_rel = xs.relation("R")
+        marks = [xs.relation(f"U{c}") for c in range(len(x.constants))]
+        for arity in (1, 2, 3):
 
-        def fingerprint(t):
-            eqs = tuple(t[i] == t[j] for i, j in itertools.combinations(range(arity), 2))
-            orders = tuple(
-                (t[i], t[j]) in order_rel
-                for i, j in itertools.permutations(range(arity), 2)
-            )
-            unary = tuple(
-                (t[i],) in mark for i in range(arity) for mark in marks
-            )
-            return eqs + orders + unary
+            def fingerprint(t):
+                eqs = tuple(t[i] == t[j] for i, j in itertools.combinations(range(arity), 2))
+                orders = tuple(
+                    (t[i], t[j]) in order_rel
+                    for i, j in itertools.permutations(range(arity), 2)
+                )
+                unary = tuple(
+                    (t[i],) in mark for i in range(arity) for mark in marks
+                )
+                return eqs + orders + unary
 
-        types = {p: literal_type(x, p) for p in points}
-        prints = {p: fingerprint(p) for p in points}
-        result.cases += 1
-        agree = all(
-            (types[p] == types[q]) == (prints[p] == prints[q])
-            for p, q in itertools.combinations(points, 2)
-        )
-        if not agree:
-            result.failures.append(
+            points = list(itertools.product(range(x.size), repeat=arity))
+            types = [literal_type(x, p) for p in points]
+            prints = [fingerprint(p) for p in points]
+            classes = len(set(zip(types, prints)))
+            yield classes == len(set(types)) == len(set(prints)) or (
                 f"type equality differs from literal satisfaction on {x}"
             )
-        if len(set(types.values())) != len(set(prints.values())):
-            result.failures.append(f"class count mismatch on {x}")
 
 
-def _suite_literal_type_partition(rng, cases) -> SuiteResult:
-    result = SuiteResult("literal-type-partition", 0)
-    for m in range(1, 4):
-        for x in _all_companions(m):
-            _check_literal_type_partition(x, result)
-    for _ in range(max(cases // 5, 20)):
-        m = rng.randint(4, 5)
-        x = random_companion(rng, m, rng.randint(0, min(m, 3)))
-        _check_literal_type_partition(x, result)
-    return result
-
-
-def _reversal_scope(rng, cases) -> list[tuple[Structure, frozenset[int]]]:
-    scope: list[tuple[Structure, frozenset[int]]] = []
-    for y in small_binary_corpus():
-        for f_size in range(y.size + 1):
-            for f in itertools.combinations(range(y.size), f_size):
-                scope.append((y, frozenset(f)))
-    for y in [chain_structure(5), cycle_structure(5), pentagon_cyclic_order(), unary_structure(5, [0])]:
-        scope.append((y, frozenset()))
-        scope.append((y, frozenset({0})))
-    for y in random_structures(rng, max(cases // 20, 10), sizes=(4, 5)):
-        scope.append((y, frozenset()))
-    return scope
-
-
-def _suite_family_reversal(rng, cases) -> SuiteResult:
-    n, failures, _ = reversal_closure_check(_reversal_scope(rng, cases))
-    return SuiteResult("family-reversal-closure", n, failures)
-
-
-def _suite_classification_soundness(rng, cases) -> SuiteResult:
-    result = SuiteResult("classification-soundness", 0)
-    _, _, families = reversal_closure_check(_reversal_scope(rng, cases))
+@_tallied
+def _classification_check(families: Iterable[ChainOrderFamily]):
     for fam in families:
-        result.cases += 1
         cls = classify_family(fam)
         if cls.tag == "Unmatched":
-            result.failures.append(
-                f"unmatched family over F={sorted(fam.f_set)}: {fam.sorted_orders()[:4]}"
-            )
-            continue
-        rest = sorted(fam.orders[0]) if fam.orders else []
-        if expand_classification(cls, rest) != frozenset(fam.orders):
-            result.failures.append(
+            yield f"unmatched family over F={sorted(fam.f_set)}: {fam.sorted_orders()[:4]}"
+        else:
+            rest = sorted(fam.orders[0]) if fam.orders else []
+            yield expand_classification(cls, rest) == frozenset(fam.orders) or (
                 f"pattern expansion of {cls.tag} does not rebuild the family"
             )
-    return result
 
 
-def _suite_classification_invariance(rng, cases) -> SuiteResult:
-    result = SuiteResult("classification-presentation-invariance", 0)
-    _, _, families = reversal_closure_check(_reversal_scope(rng, min(cases, 40)))
+@_tallied
+def _presentation_check(rng: random.Random, families: Iterable[ChainOrderFamily]):
     for fam in families:
         shuffled = list(fam.orders)
         rng.shuffle(shuffled)
-        result.cases += 1
-        if classify_family(ChainOrderFamily(fam.f_set, tuple(shuffled))) != classify_family(fam):
-            result.failures.append(f"classification depends on presentation over F={sorted(fam.f_set)}")
-    return result
+        same = classify_family(ChainOrderFamily(fam.f_set, tuple(shuffled))) == classify_family(fam)
+        yield same or f"classification depends on presentation over F={sorted(fam.f_set)}"
 
 
-def _suite_monomorphic_chains(rng, cases) -> SuiteResult:
-    n, failures = monomorphic_check(range(3, 8))
-    return SuiteResult("monomorphic-chains", n, failures)
-
-
-def _suite_named_fixtures(rng, cases) -> SuiteResult:
-    result = SuiteResult("named-fixtures", 0)
-
-    def expect(label: str, ok: bool):
-        result.cases += 1
-        if not ok:
-            result.failures.append(label)
-
-    expect("five-cycle kernel size is 4", kernel(cycle_structure(5), 4).min_size == 4)
+@_tallied
+def _named_fixture_check():
     chain_family = enumerate_chaining_orders(chain_structure(5), [])
-    expect(
-        "chain family is {order, reverse}",
-        set(chain_family.orders) == {(0, 1, 2, 3, 4), (4, 3, 2, 1, 0)},
-    )
-    expect(
-        "chain family classified BoundedPerturbation with empty ends",
-        classify_family(chain_family).tag == "BoundedPerturbation"
-        and classify_family(chain_family).k_set == ()
-        and classify_family(chain_family).h_set == (),
-    )
+    chain_class = classify_family(chain_family)
     pentagon_family = enumerate_chaining_orders(pentagon_cyclic_order(), [])
-    expect("pentagon family has 10 members", len(pentagon_family.orders) == 10)
-    expect(
-        "pentagon family classified RotationFamily",
-        classify_family(pentagon_family).tag == "RotationFamily",
-    )
     unary_family = enumerate_chaining_orders(unary_structure(5, [0]), [0])
-    expect("marked-point family has 24 members", len(unary_family.orders) == 24)
-    expect(
-        "marked-point family classified AllOrders",
-        classify_family(unary_family).tag == "AllOrders",
+    yield kernel(cycle_structure(5), 4).min_size == 4 or "five-cycle kernel size is 4"
+    yield set(chain_family.orders) == {(0, 1, 2, 3, 4), (4, 3, 2, 1, 0)} or (
+        "chain family is {order, reverse}"
     )
-    return result
+    yield (
+        chain_class.tag == "BoundedPerturbation"
+        and chain_class.k_set == ()
+        and chain_class.h_set == ()
+    ) or "chain family classified BoundedPerturbation with empty ends"
+    yield len(pentagon_family.orders) == 10 or "pentagon family has 10 members"
+    yield classify_family(pentagon_family).tag == "RotationFamily" or (
+        "pentagon family classified RotationFamily"
+    )
+    yield len(unary_family.orders) == 24 or "marked-point family has 24 members"
+    yield classify_family(unary_family).tag == "AllOrders" or (
+        "marked-point family classified AllOrders"
+    )
 
 
-SUITES: dict[str, Callable[[random.Random, int], SuiteResult]] = {
-    "core-restriction-composition": _suite_core_restriction_composition,
-    "core-reduct-commute": _suite_core_reduct_commute,
-    "companion-axioms": _suite_companion_axioms,
-    "pa-restriction-closure": _suite_pa_restriction_closure,
-    "pa-reversal-chains": _suite_pa_reversal_chains,
-    "iso-canonical-agree": _suite_iso_canonical_agree,
-    "reduction-oracle": _suite_reduction_oracle,
-    "chain-reversal": _suite_chain_reversal,
-    "chain-monotonicity": _suite_chain_monotonicity,
-    "profile-bound": _suite_profile_bound,
-    "trace-isomorphism": _suite_trace_isomorphism,
-    "age-transfer": _suite_age_transfer,
-    "definability-roundtrip": _suite_definability_roundtrip,
-    "star-translation": _suite_star_translation,
-    "quotient-translation": _suite_quotient_translation,
-    "age-sentence": _suite_age_sentence,
-    "literal-type-partition": _suite_literal_type_partition,
-    "family-reversal-closure": _suite_family_reversal,
-    "classification-soundness": _suite_classification_soundness,
-    "classification-presentation-invariance": _suite_classification_invariance,
-    "monomorphic-chains": _suite_monomorphic_chains,
-    "named-fixtures": _suite_named_fixtures,
+def _reported(cases: int, failures: list[str], *_) -> tuple[int, list[str]]:
+    """The tally of a check that already ran on a shared corpus."""
+    return cases, failures
+
+
+# ---------------------------------------------------------------------------
+# Suites
+
+
+class _Shared:
+    """The corpora that several suites read, built at most once per
+    ``run_suites`` call and only when a selected suite asks for them.  One
+    that draws random numbers takes its own generator, derived from the seed
+    and its name, so a suite gets the same inputs alone as in a full run."""
+
+    def __init__(self, seed: int, cases: int):
+        self.seed = seed
+        self.cases = cases
+
+    @cached_property
+    def small(self) -> list[Structure]:
+        return small_binary_corpus()
+
+    @cached_property
+    def sweep(self) -> SweepOutcome:
+        return reduction_oracle_sweep(self.small)
+
+    @cached_property
+    def reversal(self) -> tuple[int, list[str], list[ChainOrderFamily]]:
+        """The reversal-closure check over every frozen set of the small
+        corpus, four named structures over {} and {0}, and random 4- and
+        5-point structures over {}."""
+        rng = random.Random(f"{self.seed}:reversal-scope")
+        scope = [
+            (y, frozenset(f))
+            for y in self.small
+            for f_size in range(y.size + 1)
+            for f in itertools.combinations(range(y.size), f_size)
+        ]
+        for y in (
+            chain_structure(5), cycle_structure(5), pentagon_cyclic_order(), unary_structure(5, [0])
+        ):
+            scope += [(y, frozenset()), (y, frozenset({0}))]
+        for y in random_structures(rng, max(self.cases // 20, 10)):
+            scope.append((y, frozenset()))
+        return reversal_closure_check(scope)
+
+
+# Each entry: a scope builder, from the shared corpora and the suite's own
+# generator to the check's arguments, and the check.
+SUITES: dict[str, tuple[Callable[[_Shared, random.Random], tuple], Callable]] = {
+    "core-restriction-composition": (
+        lambda s, rng: (
+            rng,
+            s.small + fixture_structures() + random_structures(rng, s.cases // 10 + 1),
+        ),
+        _restriction_composition_check,
+    ),
+    "core-reduct-commute": (
+        lambda s, rng: (
+            rng,
+            random_structures(rng, max(s.cases // 5, 20), sizes=(3, 4, 5), symbols=(2,)),
+        ),
+        _reduct_commute_check,
+    ),
+    "companion-axioms": (lambda s, rng: (rng, max(s.cases, 50)), _companion_axioms_check),
+    "pa-restriction-closure": (
+        lambda s, rng: (fixture_structures() + random_structures(rng, max(s.cases // 20, 5)),),
+        _pa_restriction_check,
+    ),
+    "pa-reversal-chains": (lambda s, rng: (range(6),), _pa_reversal_check),
+    "iso-canonical-agree": (
+        lambda s, rng: (rng, s.small, random_structures(rng, max(s.cases // 10, 10))),
+        _iso_canonical_check,
+    ),
+    "reduction-oracle": (
+        lambda s, rng: (
+            s.sweep,
+            _sampled_witnesses(
+                rng, random_structures(rng, max(s.cases // 10, 10), arity=(1, 3)), 12
+            ),
+        ),
+        _reduction_check,
+    ),
+    "chain-reversal": (
+        lambda s, rng: (
+            _sampled_witnesses(rng, s.small + random_structures(rng, max(s.cases // 20, 5)), 30),
+        ),
+        _witness_reversal_check,
+    ),
+    "chain-monotonicity": (lambda s, rng: (s.sweep.chainable,), _monotonicity_check),
+    "profile-bound": (
+        lambda s, rng: (
+            s.small + fixture_structures() + random_structures(rng, max(s.cases // 20, 5)),
+        ),
+        profile_bound_check,
+    ),
+    "trace-isomorphism": (lambda s, rng: (s.sweep.chainable + _fixture_witnesses(),), trace_check),
+    "age-transfer": (lambda s, rng: (rng, s.small, max(s.cases * 20, 2000)), _age_transfer_check),
+    "definability-roundtrip": (
+        lambda s, rng: (
+            [(y, w) for y, w in s.sweep.chainable if y.size == 3], rng, max(s.cases, 100)
+        ),
+        _definability_check,
+    ),
+    "star-translation": (
+        lambda s, rng: (rng.getrandbits(32), max(s.cases, 300)),
+        star_translation_check,
+    ),
+    "quotient-translation": (lambda s, rng: (rng, max(s.cases, 200)), _quotient_check),
+    "age-sentence": (
+        lambda s, rng: (
+            [y for y in s.small if y.size in (2, 3)]
+            + rng.sample(all_binary_structures(4), min(30, s.cases)),
+            rng,
+            3,
+            0.3,
+        ),
+        age_sentence_check,
+    ),
+    "literal-type-partition": (
+        lambda s, rng: (_companion_scope(rng, max(s.cases // 5, 20)),),
+        _literal_type_partition_check,
+    ),
+    "family-reversal-closure": (lambda s, rng: s.reversal, _reported),
+    "classification-soundness": (lambda s, rng: (s.reversal[2],), _classification_check),
+    "classification-presentation-invariance": (
+        lambda s, rng: (rng, s.reversal[2]),
+        _presentation_check,
+    ),
+    "monomorphic-chains": (lambda s, rng: (range(3, 8),), monomorphic_check),
+    "named-fixtures": (lambda s, rng: (), _named_fixture_check),
 }
-
 
 def run_suites(
     only: str | None = None, seed: int = 0, cases: int = 100
 ) -> list[SuiteResult]:
-    """Run the registered suites (or just one), each with its own
-    deterministically derived generator."""
+    """Run the registered suites (or just one), each with its own generator
+    derived from the seed and its name, over corpora shared within the call.
+    ``cases`` scales the seeded part of each suite and must lie in
+    0..``VERIFY_CASES_CAP``."""
     if only is not None and only not in SUITES:
         raise DomainError(
             f"unknown suite {only!r}; known: {', '.join(sorted(SUITES))}"
         )
+    if cases < 0:
+        raise DomainError(f"cases must be at least 0, got {cases}")
+    if cases > VERIFY_CASES_CAP:
+        raise UnsupportedSizeError(
+            f"cases {cases} exceeds verify.VERIFY_CASES_CAP ({VERIFY_CASES_CAP})"
+        )
+    shared = _Shared(seed, cases)
     results = []
-    for name, fn in SUITES.items():
-        if only is not None and name != only:
-            continue
-        rng = random.Random(f"{seed}:{name}")
-        results.append(fn(rng, cases))
+    for name, (scope, check) in SUITES.items():
+        if only is None or name == only:
+            rng = random.Random(f"{seed}:{name}")
+            results.append(SuiteResult(name, *check(*scope(shared, rng))))
     return results

@@ -7,6 +7,32 @@ import pytest
 from conftest import GOLDEN, child_env, run_cli
 
 from chainlab.formulas import FORMULA_DEPTH_CAP
+from chainlab.verify import VERIFY_CASES_CAP
+
+SUITE_NAMES = [
+    "core-restriction-composition",
+    "core-reduct-commute",
+    "companion-axioms",
+    "pa-restriction-closure",
+    "pa-reversal-chains",
+    "iso-canonical-agree",
+    "reduction-oracle",
+    "chain-reversal",
+    "chain-monotonicity",
+    "profile-bound",
+    "trace-isomorphism",
+    "age-transfer",
+    "definability-roundtrip",
+    "star-translation",
+    "quotient-translation",
+    "age-sentence",
+    "literal-type-partition",
+    "family-reversal-closure",
+    "classification-soundness",
+    "classification-presentation-invariance",
+    "monomorphic-chains",
+    "named-fixtures",
+]
 
 
 class TestExitCodes:
@@ -26,6 +52,19 @@ class TestExitCodes:
         result = run_cli("kernel", "--structure", "c5.json", "--max-f", "-1")
         assert result.returncode == 1
         assert json.loads(result.stdout)["error"] == "domain_error"
+
+    def test_negative_verify_cases_is_domain_error(self):
+        result = run_cli("verify", "--cases", "-1")
+        assert result.returncode == 1
+        assert result.stderr == ""
+        assert json.loads(result.stdout)["error"] == "domain_error"
+
+    @pytest.mark.parametrize("cases", [VERIFY_CASES_CAP + 1, 10**9])
+    def test_verify_cases_above_cap_is_unsupported_size(self, cases):
+        result = run_cli("verify", "--only", "companion-axioms", "--cases", str(cases))
+        assert result.returncode == 1
+        assert result.stderr == ""
+        assert json.loads(result.stdout)["error"] == "unsupported_size"
 
     @staticmethod
     def _star_eval_nested(tmp_path, depth: int) -> subprocess.CompletedProcess:
@@ -228,6 +267,25 @@ class TestVerbs:
         assert doc["ok"] is True
         assert [s["name"] for s in doc["suites"]] == ["profile-bound"]
 
+    def test_verify_full_run(self):
+        first = run_cli("verify", "--cases", "20")
+        second = run_cli("verify", "--cases", "20")
+        assert first.returncode == 0
+        assert first.stderr == ""
+        assert first.stdout == second.stdout
+        doc = json.loads(first.stdout)
+        assert doc["ok"] is True
+        assert sorted(doc) == ["ok", "suites"]
+        assert [s["name"] for s in doc["suites"]] == SUITE_NAMES
+        for suite in doc["suites"]:
+            assert sorted(suite) == ["cases", "examples", "failures", "name", "ok"]
+            assert suite["cases"] > 0
+        by_name = {s["name"]: s for s in doc["suites"]}
+        for name in ("trace-isomorphism", "classification-presentation-invariance"):
+            alone = run_cli("verify", "--only", name, "--cases", "20")
+            assert alone.returncode == 0
+            assert json.loads(alone.stdout)["suites"] == [by_name[name]]
+
     def test_verify_unknown_suite(self):
         result = run_cli("verify", "--only", "nonexistent")
         assert result.returncode == 1
@@ -258,6 +316,13 @@ class TestImports:
             "extra = sorted(loaded - set(sys.stdlib_module_names) - {'chainlab'})\n"
             "assert not extra, extra\n"
         )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_cli_imports_verify_only_for_the_verify_verb(self):
+        code = "import sys\nimport chainlab.cli\nassert 'chainlab.verify' not in sys.modules\n"
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
         )
