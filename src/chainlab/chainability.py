@@ -224,26 +224,25 @@ def profile(y: Structure, up_to: int) -> ProfileReport:
     return ProfileReport(tuple(values), tuple(forms_per_n))
 
 
-def age_forms(y: Structure, n: int) -> frozenset[CanonicalForm]:
-    """Canonical forms of all n-element induced substructures."""
+def _check_age_size(y: Structure, n: int) -> None:
     if not (1 <= n <= y.size):
         raise DomainError(f"age size {n} out of range for domain of size {y.size}")
     if n > CANONICAL_SIZE_CAP:
         raise UnsupportedSizeError(
             f"age computation capped at substructure size {CANONICAL_SIZE_CAP}"
         )
+
+
+def age_forms(y: Structure, n: int) -> frozenset[CanonicalForm]:
+    """Canonical forms of all n-element induced substructures."""
+    _check_age_size(y, n)
     return frozenset(substructure_forms(y, n).values())
 
 
 def age_representatives(y: Structure, n: int) -> tuple[Structure, ...]:
     """One induced n-element substructure per isomorphism type, ordered by
     canonical form.  Suitable as a family for age sentences."""
-    if not (1 <= n <= y.size):
-        raise DomainError(f"age size {n} out of range for domain of size {y.size}")
-    if n > CANONICAL_SIZE_CAP:
-        raise UnsupportedSizeError(
-            f"age computation capped at substructure size {CANONICAL_SIZE_CAP}"
-        )
+    _check_age_size(y, n)
     first: dict[CanonicalForm, tuple[int, ...]] = {}
     for h, form in substructure_forms(y, n).items():
         first.setdefault(form, h)

@@ -11,16 +11,18 @@ Grammar (prefix keywords, whitespace-separated):
     (exists v f)       existential quantification
     (forall v f)       universal quantification
 
-Conjunction and disjunction are binary in the tree; ``and_all``/``or_all``
-left-fold longer lists deterministically.  Formulas over a companion use the
-reserved symbol names "R" and "U0", "U1", ...
+In the tree, ``And`` and ``Or`` are n-ary: one node holds a whole chain as a
+tuple of two or more parts.  A leading part of the same connective is spliced
+in, so ``And(And(a, b), c)``, ``and_all([a, b, c])`` and the parse of
+``(and (and a b) c)`` are one value; right-nested input stays nested.  The text
+stays binary: a chain prints as its left-deep nesting.  Formulas over a
+companion use the reserved symbol names "R" and "U0", "U1", ...
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Iterable, Union
 
 from .core import Structure
@@ -51,16 +53,29 @@ class Not:
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
+def _chain(kind: type, parts: tuple[Formula, ...]) -> tuple[Formula, ...]:
+    """The parts of a ``kind`` node, with a leading ``kind`` node spliced in."""
+    if len(parts) < 2:
+        raise FormulaError(f"{kind.__name__} needs at least two parts, got {len(parts)}")
+    if type(parts[0]) is kind:
+        return parts[0].parts + parts[1:]
+    return parts
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class And:
-    left: Formula
-    right: Formula
+    parts: tuple[Formula, ...]
+
+    def __init__(self, *parts: Formula) -> None:
+        object.__setattr__(self, "parts", _chain(And, parts))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Or:
-    left: Formula
-    right: Formula
+    parts: tuple[Formula, ...]
+
+    def __init__(self, *parts: Formula) -> None:
+        object.__setattr__(self, "parts", _chain(Or, parts))
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,17 +91,17 @@ class Forall:
 
 
 def and_all(parts: Iterable[Formula]) -> Formula:
-    parts = list(parts)
+    parts = tuple(parts)
     if not parts:
         raise FormulaError("empty conjunction has no rendering")
-    return reduce(And, parts)
+    return And(*parts) if len(parts) > 1 else parts[0]
 
 
 def or_all(parts: Iterable[Formula]) -> Formula:
-    parts = list(parts)
+    parts = tuple(parts)
     if not parts:
         raise FormulaError("empty disjunction has no rendering")
-    return reduce(Or, parts)
+    return Or(*parts) if len(parts) > 1 else parts[0]
 
 
 def implies(antecedent: Formula, consequent: Formula) -> Formula:
@@ -98,16 +113,6 @@ def falsum(var: str) -> Formula:
     return Not(Eq(var, var))
 
 
-def _operands(f: And | Or) -> list[Formula]:
-    """Operands of the left-deep chain of ``f``'s connective, left to right.
-    The walks loop over them, so and_all/or_all chains cost no recursion."""
-    kind, rights = type(f), []
-    while type(f) is kind:
-        rights.append(f.right)
-        f = f.left
-    return [f, *reversed(rights)]
-
-
 def free_variables(f: Formula) -> frozenset[str]:
     if isinstance(f, Eq):
         return frozenset((f.left, f.right))
@@ -116,28 +121,9 @@ def free_variables(f: Formula) -> frozenset[str]:
     if isinstance(f, Not):
         return free_variables(f.body)
     if isinstance(f, (And, Or)):
-        return frozenset().union(*map(free_variables, _operands(f)))
+        return frozenset().union(*map(free_variables, f.parts))
     if isinstance(f, (Exists, Forall)):
         return free_variables(f.body) - {f.var}
-    raise FormulaError(f"not a formula node: {f!r}")
-
-
-def rename_free(f: Formula, mapping: dict[str, str]) -> Formula:
-    """Rename free variables.  Intended for quantifier-free formulas or
-    renamings that avoid every bound variable; a clash raises."""
-    if isinstance(f, Eq):
-        return Eq(mapping.get(f.left, f.left), mapping.get(f.right, f.right))
-    if isinstance(f, Rel):
-        return Rel(f.symbol, tuple(mapping.get(a, a) for a in f.args))
-    if isinstance(f, Not):
-        return Not(rename_free(f.body, mapping))
-    if isinstance(f, (And, Or)):
-        return reduce(type(f), [rename_free(g, mapping) for g in _operands(f)])
-    if isinstance(f, (Exists, Forall)):
-        if f.var in mapping or f.var in mapping.values():
-            raise FormulaError(f"renaming clashes with bound variable {f.var!r}")
-        body = rename_free(f.body, mapping)
-        return type(f)(f.var, body)
     raise FormulaError(f"not a formula node: {f!r}")
 
 
@@ -151,7 +137,7 @@ def map_atoms(f: Formula, fn: Callable[[Rel], Formula]) -> Formula:
     if isinstance(f, Not):
         return Not(map_atoms(f.body, fn))
     if isinstance(f, (And, Or)):
-        return reduce(type(f), [map_atoms(g, fn) for g in _operands(f)])
+        return type(f)(*(map_atoms(g, fn) for g in f.parts))
     if isinstance(f, (Exists, Forall)):
         return type(f)(f.var, map_atoms(f.body, fn))
     raise FormulaError(f"not a formula node: {f!r}")
@@ -198,7 +184,7 @@ def eval_formula(f: Formula, y: Structure, assignment: dict[str, int]) -> bool:
         if isinstance(node, Not):
             return not run(node.body)
         if isinstance(node, (And, Or)):
-            return (all if isinstance(node, And) else any)(map(run, _operands(node)))
+            return (all if isinstance(node, And) else any)(map(run, node.parts))
         if isinstance(node, (Exists, Forall)):
             existential = isinstance(node, Exists)
             var = node.var
@@ -232,7 +218,7 @@ def format_formula(f: Formula) -> str:
     if isinstance(f, Not):
         return f"(not {format_formula(f.body)})"
     if isinstance(f, (And, Or)):
-        first, *more = map(format_formula, _operands(f))
+        first, *more = map(format_formula, f.parts)
         keyword = "(and " if isinstance(f, And) else "(or "
         return keyword * len(more) + first + "".join(f" {g})" for g in more)
     if isinstance(f, Exists):

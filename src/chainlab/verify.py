@@ -24,8 +24,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .chainability import (
     ChainWitness,
+    age_forms,
     age_representatives,
-    age_subset,
     check_profile_bound,
     check_trace_isomorphism,
     find_chain_order,
@@ -637,8 +637,11 @@ def _monotonicity_check(chainable: Iterable[tuple[Structure, ChainWitness]]):
 def _age_transfer_check(rng: random.Random, reps: list[Structure], limit: int):
     kernels = {y: kernel(y, y.size).min_size for y in reps}
     pairs = [(z, y) for z in reps for y in reps if y.size >= z.size > 0]
+    # The reps share one signature, so age containment is a comparison of
+    # age_forms, each computed once per structure and size.
+    ages = lru_cache(maxsize=None)(age_forms)
     for z, y in _at_most(rng, pairs, limit):
-        if all(age_subset(z, y, n) for n in range(1, z.size + 1)):
+        if all(ages(z, n) <= ages(y, n) for n in range(1, z.size + 1)):
             yield kernels[z] <= kernels[y] or (
                 f"age containment with kernel {kernels[z]} > {kernels[y]}"
             )

@@ -97,7 +97,7 @@ class TestExitCodes:
 
     def test_long_star_formula_is_evaluated(self, tmp_path):
         # T holds on every tuple, so over four constants its definition is a
-        # left-deep or_all of 1,083 literal types.
+        # single or_all of 1,083 literal types.
         tuples = [list(t) for t in itertools.product(range(8), repeat=4)]
         y = {"relations": {"T": tuples}, "signature": [{"arity": 4, "name": "T"}], "size": 8}
         companion = {"size": 8, "order": list(range(8)), "constants": [0, 1, 2, 3]}

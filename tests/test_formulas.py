@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from chainlab.core import Signature, structure
+from chainlab.chainability import age_representatives
+from chainlab.core import Signature, companion_structure, structure
 from chainlab.errors import FormulaError, ParseError
 from chainlab.formulas import (
     And,
@@ -19,9 +20,9 @@ from chainlab.formulas import (
     map_atoms,
     or_all,
     parse_formula,
-    rename_free,
 )
-from chainlab.verify import random_formula
+from chainlab.logic import age_sentence, star_translate
+from chainlab.verify import random_definition_set, random_formula
 
 
 class TestEval:
@@ -99,7 +100,7 @@ class TestTextFormat:
     def test_random_round_trip(self):
         rng = random.Random(17)
         sig = Signature((("E", 2), ("U", 1)))
-        for _ in range(200):
+        for _ in range(400):
             f = random_formula(rng, sig, ("v0", "v1", "v2"), depth=4, quantifiers=2)
             text = format_formula(f)
             assert parse_formula(text) == f
@@ -118,9 +119,26 @@ class TestHelpers:
         with pytest.raises(FormulaError):
             and_all([])
 
-    def test_rename_free(self):
-        f = Rel("E", ("v0", "v1"))
-        assert rename_free(f, {"v0": "x"}) == Rel("E", ("x", "v1"))
+    def test_chain_identity(self, c5):
+        a, b, c = Eq("a", "a"), Eq("b", "b"), Eq("c", "c")
+        assert And(And(a, b), c) == and_all([a, b, c])
+        assert parse_formula("(and (and (= a a) (= b b)) (= c c))") == and_all([a, b, c])
+        right = And(a, And(b, c))
+        assert len(right.parts) == 2
+        assert format_formula(right) == "(and (= a a) (and (= b b) (= c c)))"
+        with pytest.raises(FormulaError):
+            And(a)
+        with pytest.raises(FormulaError):
+            Or()
+        rng = random.Random(8)
+        sig = Signature((("E", 2), ("U", 1)))
+        x = companion_structure(4, (1,), (3, 0, 2))
+        defs = random_definition_set(rng, x, sig)
+        f = random_formula(rng, sig, ("v0", "v1", "v2"), depth=4, quantifiers=2)
+        for g in (star_translate(f, defs), age_sentence(age_representatives(c5, 3), ("E",))):
+            text = format_formula(g)
+            assert "(and (and" in text
+            assert parse_formula(text) == g
 
     def test_map_atoms_identity(self):
         rng = random.Random(23)
@@ -130,8 +148,8 @@ class TestHelpers:
             assert map_atoms(f, lambda atom: atom) == f
 
     def test_long_chains_walk_without_recursion(self):
-        # and_all/or_all build left-deep trees far deeper than the
-        # interpreter's recursion limit; every walk loops over such a chain.
+        # One node holds each chain, so no walk, comparison, hash or repr
+        # recurses once per part.
         n = 5000
         y = structure(2, {"E": [(0, 1)]}, [("E", 2)])
         atoms = [Rel("E", ("u", f"x{i}")) for i in range(n)]
@@ -146,15 +164,13 @@ class TestHelpers:
             assert free_variables(f) == {"u", *(f"x{i}" for i in range(n))}
             assert eval_formula(f, y, only_last) is on_last
             assert eval_formula(f, y, every) is True
-            assert format_formula(rename_free(f, {"u": "w"})) == text.replace(" u ", " w ")
             flipped = map_atoms(f, lambda atom: Rel(atom.symbol, atom.args[::-1]))
             assert format_formula(flipped) == format_formula(build(swapped))
+            twin = build([Rel("E", ("u", f"x{i}")) for i in range(n)])
+            assert twin is not f and twin == f
+            assert hash(twin) == hash(f)
+            assert repr(twin) == repr(f)
 
     def test_map_atoms_rejects_non_formula(self):
         with pytest.raises(FormulaError):
             map_atoms(Not("E"), lambda atom: atom)
-
-    def test_rename_clash_rejected(self):
-        f = Exists("x", Rel("E", ("x", "v0")))
-        with pytest.raises(FormulaError):
-            rename_free(f, {"v0": "x"})
