@@ -210,6 +210,8 @@ def witness_companion(w: ChainWitness) -> Companion:
 def profile(y: Structure, up_to: int) -> ProfileReport:
     """Isomorphism-type counts of n-element induced substructures for
     n = 1..up_to.  Bounded by the canonical-form regime (size <= 8)."""
+    if up_to < 0:
+        raise DomainError("up_to must be non-negative")
     if up_to > min(y.size, CANONICAL_SIZE_CAP):
         raise UnsupportedSizeError(
             f"profile up_to={up_to} exceeds min(size, {CANONICAL_SIZE_CAP}) = "

@@ -4,7 +4,8 @@ analyses, and emit deterministic JSON reports.
 Exit codes: 0 on success, 1 on domain errors (with a structured error object
 on stdout), 2 on parse errors (malformed files, formulas, or usage).  All
 collections are sorted before emission, so identical inputs and flags always
-produce identical bytes.
+produce identical bytes.  Each verb imports the modules it runs inside its
+handler, so a process loads only what its verb needs.
 """
 
 from __future__ import annotations
@@ -13,26 +14,8 @@ import argparse
 import json
 import sys
 
-from . import corpus
-from .chainability import ChainWitness, find_chain_order, is_chainable_with, kernel, profile
-from .chainability import age_forms, age_subset
-from .core import (
-    companion_as_structure,
-    load_companion,
-    load_structure,
-    structure_to_dict,
-)
+from .core import load_structure
 from .errors import ChainlabError, ParseError
-from .formulas import eval_formula, format_formula, parse_formula
-from .gpw import classify_family, enumerate_chaining_orders
-from .logic import (
-    age_sentence,
-    check_age_sentence_agreement,
-    extract_definitions,
-    render_literal_type,
-    star_translate,
-)
-from .morphism import CANONICAL_SIZE_CAP
 
 
 def _int_list(text: str) -> list[int]:
@@ -83,30 +66,41 @@ def _emit(doc: dict, pretty: bool) -> None:
 
 
 def _cmd_check_chain(args) -> dict:
+    from .chainability import ChainWitness, is_chainable_with
+
     y = load_structure(args.structure)
     w = ChainWitness.of(_int_list(args.f), _int_list(args.order))
     return {"chainable": is_chainable_with(y, w)}
 
 
 def _cmd_find_order(args) -> dict:
+    from .chainability import find_chain_order
+
     y = load_structure(args.structure)
     order = find_chain_order(y, _int_list(args.f))
     return {"order": list(order) if order is not None else None}
 
 
 def _cmd_kernel(args) -> dict:
+    from .chainability import kernel
+
     y = load_structure(args.structure)
     max_f = y.size if args.max_f is None else args.max_f
     return kernel(y, max_f).to_dict()
 
 
 def _cmd_profile(args) -> dict:
+    from .chainability import profile
+    from .morphism import CANONICAL_SIZE_CAP
+
     y = load_structure(args.structure)
     up_to = min(y.size, CANONICAL_SIZE_CAP) if args.up_to is None else args.up_to
     return profile(y, up_to).to_dict()
 
 
 def _cmd_age(args) -> dict:
+    from .chainability import age_forms, age_subset
+
     y = load_structure(args.structure)
     if args.within is None:
         forms = age_forms(y, args.n)
@@ -116,6 +110,10 @@ def _cmd_age(args) -> dict:
 
 
 def _cmd_define(args) -> dict:
+    from .core import load_companion
+    from .formulas import format_formula
+    from .logic import extract_definitions, render_literal_type
+
     y = load_structure(args.structure)
     x = load_companion(args.companion)
     defs = extract_definitions(x, y)
@@ -131,6 +129,10 @@ def _cmd_define(args) -> dict:
 
 
 def _cmd_star_eval(args) -> dict:
+    from .core import companion_as_structure, load_companion
+    from .formulas import eval_formula, format_formula, parse_formula
+    from .logic import extract_definitions, star_translate
+
     y = load_structure(args.structure)
     x = load_companion(args.companion)
     f = parse_formula(args.formula)
@@ -148,6 +150,9 @@ def _cmd_star_eval(args) -> dict:
 
 
 def _cmd_age_sentence(args) -> dict:
+    from .formulas import eval_formula, format_formula
+    from .logic import age_sentence, check_age_sentence_agreement
+
     family = [load_structure(path) for path in _name_list(args.family)]
     keep = _name_list(args.keep)
     sentence = age_sentence(family, keep)
@@ -161,6 +166,8 @@ def _cmd_age_sentence(args) -> dict:
 
 
 def _cmd_classify_orders(args) -> dict:
+    from .gpw import classify_family, enumerate_chaining_orders
+
     y = load_structure(args.structure)
     family = enumerate_chaining_orders(y, _int_list(args.f))
     doc = family.to_dict()
@@ -169,6 +176,9 @@ def _cmd_classify_orders(args) -> dict:
 
 
 def _cmd_gen(args) -> dict:
+    from . import corpus
+    from .core import structure_to_dict
+
     arity_min, arity_max = _arity_bounds(args.arity)
     spec = corpus.RandomSpec(
         seed=args.seed,
@@ -182,7 +192,7 @@ def _cmd_gen(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
-    from . import verify  # only this verb needs the suites
+    from . import verify
 
     results = verify.run_suites(only=args.only, seed=args.seed, cases=args.cases)
     return {

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .core import (
+    CACHE_SIZE,
     Companion,
     Signature,
     Structure,
@@ -89,6 +91,10 @@ class LiteralType:
         return (self.block_of, tuple(-1 if m is None else m for m in self.marks))
 
 
+# Validation runs once per distinct type; user-built types validate each time.
+_interned_type = lru_cache(maxsize=CACHE_SIZE)(LiteralType)
+
+
 def literal_type(x: Companion, point: Sequence[int]) -> LiteralType:
     """The literal type realized by ``point`` in the companion ``x``.
 
@@ -102,7 +108,7 @@ def literal_type(x: Companion, point: Sequence[int]) -> LiteralType:
     distinct = sorted(set(point), key=x.position)
     rank = {v: r for r, v in enumerate(distinct)}
     constant_index = {c: j for j, c in enumerate(x.constants)}
-    return LiteralType(
+    return _interned_type(
         tuple(rank[v] for v in point),
         tuple(constant_index.get(v) for v in distinct),
         len(x.constants),

@@ -240,6 +240,11 @@ class TestProfile:
         with pytest.raises(UnsupportedSizeError):
             profile(c5, 6)
 
+    def test_negative_bound_rejected(self, c5):
+        with pytest.raises(DomainError):
+            profile(c5, -3)
+        assert profile(c5, 0).values == ()
+
     def test_counts_match_forms(self, c5):
         report = profile(c5, 5)
         assert all(len(forms) == v for forms, v in zip(report.age_forms, report.values))

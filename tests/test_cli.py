@@ -53,6 +53,11 @@ class TestExitCodes:
         assert result.returncode == 1
         assert json.loads(result.stdout)["error"] == "domain_error"
 
+    def test_negative_profile_bound_is_domain_error(self):
+        result = run_cli("profile", "--structure", "c5.json", "--up-to", "-3")
+        assert result.returncode == 1
+        assert json.loads(result.stdout)["error"] == "domain_error"
+
     def test_negative_verify_cases_is_domain_error(self):
         result = run_cli("verify", "--cases", "-1")
         assert result.returncode == 1
@@ -305,6 +310,11 @@ class TestFormulaFixture:
         assert format_formula(parse_formula(text)) + "\n" == text
 
 
+# The chainlab modules a verb loads beyond cli, core and errors.
+SEARCH_MODULES = {"morphism", "chainability"}
+LOGIC_MODULES = {"formulas", "logic", "morphism"}
+
+
 class TestImports:
     def test_cli_imports_only_the_standard_library(self):
         # Compare with a snapshot: site hooks may load other packages first.
@@ -327,3 +337,57 @@ class TestImports:
             [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
         )
         assert result.returncode == 0, result.stderr
+
+    def test_bare_package_import_loads_no_submodule(self):
+        code = "import sys\nimport chainlab\nassert not [n for n in sys.modules if n.startswith('chainlab.')]\n"
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
+        assert result.returncode == 0, result.stderr
+
+    @pytest.mark.parametrize(
+        "args, extra",
+        [
+            (["kernel", "--structure", "c5.json"], SEARCH_MODULES),
+            (["profile", "--structure", "c5.json"], SEARCH_MODULES),
+            (["check-chain", "--structure", "chain5.json", "--order", "0,1,2,3,4"], SEARCH_MODULES),
+            (["find-order", "--structure", "c5.json", "--f", "0"], SEARCH_MODULES),
+            (["age", "--structure", "c4.json", "--n", "2", "--within", "c5.json"], SEARCH_MODULES),
+            (["classify-orders", "--structure", "pentagon.json"], SEARCH_MODULES | {"gpw"}),
+            (["define", "--structure", "chain5.json", "--companion", "natural5"], LOGIC_MODULES),
+            (
+                ["star-eval", "--structure", "chain5.json", "--companion", "natural5"]
+                + ["--formula", "(exists u (rel lt u v))", "--assign", "v=3"],
+                LOGIC_MODULES,
+            ),
+            (
+                ["age-sentence", "--family", "edge_pair.json,empty_pair.json", "--keep", "E"]
+                + ["--eval-on", "c5.json"],
+                LOGIC_MODULES,
+            ),
+            (["gen", "--seed", "1", "--size", "4"], {"corpus"}),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else None,
+    )
+    def test_each_verb_imports_only_its_modules(self, tmp_path, args, extra):
+        companion = tmp_path / "natural5.json"
+        companion.write_text(json.dumps({"size": 5, "order": [0, 1, 2, 3, 4], "constants": []}))
+        args = [str(companion) if a == "natural5" else a for a in args]
+        code = (
+            "import contextlib, io, sys\n"
+            "import chainlab.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = chainlab.cli.main(sys.argv[1:])\n"
+            "print(code, *sorted(n for n in sys.modules if n.startswith('chainlab.')))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, *args],
+            capture_output=True,
+            text=True,
+            cwd=GOLDEN,
+            env=child_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        exit_code, *loaded = result.stdout.split()
+        assert exit_code == "0"
+        assert set(loaded) == {f"chainlab.{m}" for m in {"cli", "core", "errors"} | extra}

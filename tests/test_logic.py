@@ -80,6 +80,14 @@ class TestLiteralType:
         with pytest.raises(DomainError):
             LiteralType((0, 1), (None, 0), 1)
 
+    def test_computed_types_are_interned(self):
+        x = companion_structure(4, (2, 0), (1, 3))
+        t = literal_type(x, (1, 2, 1))
+        assert literal_type(x, [1, 2, 1]) is t
+        assert literal_type(x, (3, 2, 3)) is t
+        assert t == LiteralType((1, 0, 1), (0, None), 2)
+        assert literal_type(x, (1, 3)) is not literal_type(x, (3, 1))
+
     def test_rendering_is_deterministic(self):
         # Frozen literal order: equalities, then order atoms, then unary
         # atoms, each lexicographic, left-folded.
