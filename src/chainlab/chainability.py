@@ -8,9 +8,11 @@ Both the decision ``is_chainable_with`` and the search ``iter_chain_orders``
 (behind ``find_chain_order``, ``kernel`` and
 ``gpw.enumerate_chaining_orders``) test type purity: an order chains the
 structure exactly when, for each j up to the largest arity, all its j-subsets
-have one quantifier-free type over F (Fraisse; Frasnay).  They read those
-types from one table, ``_subset_types``.  verify.py checks the decision
-against the full map oracle, which shares no code with it.
+have one quantifier-free type over F (Fraisse; Frasnay).  They share one
+purity step, ``_extends_purely``, over one table of types,
+``_subset_types``: a decided order is chainable exactly when it is a path of
+the search.  verify.py checks the decision against the full map oracle,
+which shares no code with it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import CACHE_SIZE, Companion, Structure, companion_structure, induced_substructure
 from .errors import DomainError, UnsupportedSizeError
@@ -109,20 +111,30 @@ def _subset_types(y: Structure, fixed: tuple[int, ...]) -> Callable[[tuple[int, 
 
 def is_chainable_with(y: Structure, w: ChainWitness) -> bool:
     """Decide chainability of ``y`` over the witness's frozen set with
-    respect to its complement order: for each j up to the largest arity,
-    every j-subset of the order, read in order, has the type of its first j
-    elements.
+    respect to its complement order: the order is chainable exactly when it
+    is a path of ``iter_chain_orders``' search, that is, when each of its
+    prefixes extends the one before purely (``_extends_purely``).
 
     Structures over the empty signature are chainable with any witness.
     """
     _validate_witness(y, w)
-    rest = w.rest_order
-    bound = min(y.sig.max_arity(), len(rest))
+    rest, bound = w.rest_order, y.sig.max_arity()
     type_of = _subset_types(y, tuple(sorted(w.f_set)))
-    for j in range(1, bound + 1):
-        first = type_of(rest[:j])
-        if any(type_of(sub) != first for sub in itertools.combinations(rest, j)):
-            return False
+    return all(_extends_purely(type_of, rest[:i], bound) for i in range(1, len(rest) + 1))
+
+
+def _extends_purely(
+    type_of: Callable[[tuple[int, ...]], tuple], prefix: Sequence[int], bound: int
+) -> bool:
+    """Does every j-subset of ``prefix`` containing its last element (j up
+    to ``bound``), read in prefix order, have the type of the first j prefix
+    elements?  The one purity step of the decision and the search."""
+    head, e = tuple(prefix[:-1]), prefix[-1]
+    for j in range(1, min(bound, len(prefix)) + 1):
+        first = type_of(tuple(prefix[:j]))
+        for sub in itertools.combinations(head, j - 1):
+            if type_of(sub + (e,)) != first:
+                return False
     return True
 
 
@@ -138,30 +150,20 @@ def iter_chain_orders(y: Structure, f_set: Iterable[int]) -> Iterator[tuple[int,
     """Every complement order chaining ``y`` over ``f_set``, lexicographically.
 
     Backtracks over the ascending remaining elements.  The prefix may grow by
-    ``e`` when every j-subset of it containing ``e`` (j up to the largest
-    arity), read in prefix order, has the type of the first j prefix elements
-    (``_subset_types``).  A failing prefix cannot recover.
+    ``e`` when it then extends purely (``_extends_purely``, j up to the
+    largest arity).  A failing prefix cannot recover.
     """
     f, rest = _split_domain(y, f_set)
-    bound = min(y.sig.max_arity(), len(rest))
+    bound = y.sig.max_arity()
     type_of = _subset_types(y, tuple(sorted(f)))
     prefix: list[int] = []
-
-    def pure() -> bool:
-        head, e = tuple(prefix[:-1]), prefix[-1]
-        for j in range(1, min(bound, len(prefix)) + 1):
-            first = type_of(tuple(prefix[:j]))
-            for sub in itertools.combinations(head, j - 1):
-                if type_of(sub + (e,)) != first:
-                    return False
-        return True
 
     def extend(remaining: list[int]) -> Iterator[tuple[int, ...]]:
         if not remaining:
             yield tuple(prefix)
         for i, e in enumerate(remaining):
             prefix.append(e)
-            if pure():
+            if _extends_purely(type_of, prefix, bound):
                 yield from extend(remaining[:i] + remaining[i + 1 :])
             prefix.pop()
 

@@ -92,10 +92,6 @@ class Structure:
                 if any(not (0 <= x < self.size) for x in t):
                     raise DomainError(f"tuple {t} of {name!r} leaves the domain")
 
-    @property
-    def domain(self) -> range:
-        return range(self.size)
-
     def relation(self, name: str) -> frozenset[tuple[int, ...]]:
         return self.relations[self.sig.index(name)]
 
@@ -167,19 +163,12 @@ def induced_substructure(y: Structure, h: Iterable[int]) -> Structure:
         raise DomainError("induced substructure of the empty set is not defined")
     if hs[0] < 0 or hs[-1] >= y.size:
         raise DomainError(f"subset {hs} leaves the domain of size {y.size}")
-    k = len(hs)
     relabel = {e: i for i, e in enumerate(hs)}
-    keep = set(hs)
-    rels = []
-    for (_, arity), tuples in zip(y.sig.symbols, y.relations):
-        if k**arity <= SHARED_WORDS_CAP:
-            # The ascending product of hs lists the images of the shared
-            # words in order, so the members are read off the word table.
-            members = map(tuples.__contains__, itertools.product(hs, repeat=arity))
-            rels.append(frozenset(itertools.compress(words(k, arity), members)))
-        else:
-            rels.append(frozenset(tuple(relabel[x] for x in t) for t in tuples if set(t) <= keep))
-    return Structure(y.sig, k, tuple(rels))
+    rels = tuple(
+        frozenset(tuple(relabel[x] for x in t) for t in tuples if all(x in relabel for x in t))
+        for tuples in y.relations
+    )
+    return Structure(y.sig, len(hs), rels)
 
 
 def reduct(y: Structure, keep: Iterable[str]) -> Structure:
@@ -225,10 +214,6 @@ class Companion:
 
     def position(self, element: int) -> int:
         return _positions(self)[element]
-
-    def precedes(self, a: int, b: int) -> bool:
-        pos = _positions(self)
-        return pos[a] < pos[b]
 
     @property
     def rest(self) -> tuple[int, ...]:

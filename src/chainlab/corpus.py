@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import Signature, Structure, structure
+from .core import Structure, structure
 from .errors import DomainError, UnsupportedSizeError
 
 _MASK64 = (1 << 64) - 1
@@ -153,9 +153,6 @@ def unary_structure(m: int, marked, name: str = "U") -> Structure:
 
 def empty_relation_structure(m: int, name: str = "E", arity: int = 2) -> Structure:
     return structure(m, {name: []}, [(name, arity)])
-
-
-BINARY_SIG = Signature((("E", 2),))
 
 
 # ---------------------------------------------------------------------------

@@ -285,10 +285,18 @@ def parse_formula(text: str) -> Formula:
             node = Rel(symbol, tuple(args))
         elif head == "not":
             node = Not(expr(depth + 1))
-        elif head == "and":
-            node = And(expr(depth + 1), expr(depth + 1))
-        elif head == "or":
-            node = Or(expr(depth + 1), expr(depth + 1))
+        elif head in ("and", "or"):
+            # A printed n-part chain opens with n - 1 heads of its kind: read
+            # them in one go, so the chain is one node, one level deep.
+            inner = 0
+            while tokens[pos : pos + 2] == ["(", head]:
+                pos += 2
+                inner += 1
+            parts = [expr(depth + 1)]
+            for _ in range(inner):
+                parts.append(expr(depth + 1))
+                expect(")")
+            node = (And if head == "and" else Or)(*parts, expr(depth + 1))
         elif head == "exists":
             node = Exists(atom(), expr(depth + 1))
         elif head == "forall":

@@ -13,9 +13,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .core import CACHE_SIZE, SHARED_WORDS_CAP, Signature, Structure, induced_substructure, words
+from .core import CACHE_SIZE, SHARED_WORDS_CAP, Signature, Structure, words
 from .errors import DomainError, UnsupportedSizeError
 
 CANONICAL_SIZE_CAP = 8
@@ -41,17 +41,6 @@ class PartialMap:
     def of(mapping: dict[int, int] | list[tuple[int, int]]) -> "PartialMap":
         items = mapping.items() if isinstance(mapping, dict) else mapping
         return PartialMap(tuple(sorted((int(s), int(t)) for s, t in items)))
-
-    @property
-    def sources(self) -> tuple[int, ...]:
-        return tuple(s for s, _ in self.pairs)
-
-    @property
-    def targets(self) -> tuple[int, ...]:
-        return tuple(t for _, t in self.pairs)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.pairs)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -153,30 +142,38 @@ def canonical_form(y: Structure) -> CanonicalForm:
     replaces.  The size is capped at CANONICAL_SIZE_CAP; larger inputs raise
     UnsupportedSizeError.
     """
-    if y.size > CANONICAL_SIZE_CAP:
+    _check_form_size(y.size)
+    return _canonical_form_cached(y.sig, y.size, _cache_key(y, range(y.size)))
+
+
+def _check_form_size(n: int) -> None:
+    if n > CANONICAL_SIZE_CAP:
         raise UnsupportedSizeError(
-            f"canonical_form is exhaustive and capped at size {CANONICAL_SIZE_CAP}; "
-            f"got {y.size}"
+            f"canonical_form is exhaustive and capped at size {CANONICAL_SIZE_CAP}; got {n}"
         )
-    return _canonical_form_cached(y.sig, y.size, _cache_key(y))
 
 
 # 1 << i for every word position of a bit-mask key.
 _POWERS = [1 << i for i in range(SHARED_WORDS_CAP)]
 
 
-def _cache_key(y: Structure) -> tuple:
-    """The canonical-form cache key of ``y`` without its signature, one entry
-    per relation: a bit mask over the words in lex order (bit i: the i-th
-    word is a member), or, past SHARED_WORDS_CAP words, the sorted members.
-    The cache thus pins no structure."""
+def _cache_key(y: Structure, hs: Sequence[int]) -> tuple:
+    """The canonical-form cache key, without its signature, of the
+    substructure of ``y`` induced on the ascending elements ``hs`` (relabeled
+    onto range(len(hs))), read off ``y``.  One entry per relation: a bit mask
+    over the words in lex order (bit i: the i-th word is a member; the
+    ascending product of ``hs`` lists the words' images in that order), or,
+    past SHARED_WORDS_CAP words, the sorted relabeled members.  The cache
+    thus pins no structure."""
     key = []
     for (_, arity), tuples in zip(y.sig.symbols, y.relations):
-        if y.size**arity <= SHARED_WORDS_CAP:
-            members = map(tuples.__contains__, words(y.size, arity))
+        if len(hs) ** arity <= SHARED_WORDS_CAP:
+            members = map(tuples.__contains__, itertools.product(hs, repeat=arity))
             key.append(sum(itertools.compress(_POWERS, members)))
         else:
-            key.append(tuple(sorted(tuples)))
+            label = {e: i for i, e in enumerate(hs)}
+            inside = (t for t in tuples if all(x in label for x in t))
+            key.append(tuple(sorted(tuple(label[x] for x in t) for t in inside)))
     return tuple(key)
 
 
@@ -316,8 +313,15 @@ def _least_relabeling(
 def substructure_forms(y: Structure, n: int) -> dict[tuple[int, ...], CanonicalForm]:
     """The canonical form of every n-element induced substructure, keyed by
     the subset, in ``itertools.combinations`` order: the isomorphism type of
-    each n-subset, shared by profiles, ages and trace checks."""
+    each n-subset, shared by profiles, ages and trace checks.  Each type is
+    read off ``y`` (``_cache_key``); no substructure is built.  Raises
+    DomainError for n < 1 and UnsupportedSizeError for
+    CANONICAL_SIZE_CAP < n <= size; a larger n has no subsets."""
+    if n < 1:
+        raise DomainError(f"substructure size must be positive; got {n}")
+    if n <= y.size:
+        _check_form_size(n)
     return {
-        h: canonical_form(induced_substructure(y, h))
+        h: _canonical_form_cached(y.sig, n, _cache_key(y, h))
         for h in itertools.combinations(range(y.size), n)
     }

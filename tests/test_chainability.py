@@ -32,8 +32,9 @@ from chainlab.verify import (
 def brute_force_kernel(y, max_f):
     """Kernel search with the first order of each frozen set taken from the
     itertools.permutations filter through is_chainable_with.  It shares the
-    subset-type table with kernel's search but not its backtracking, and it
-    stays fast enough for the 7-point cases, where chainable_full is not."""
+    subset-type table and the purity step with kernel's search but not its
+    backtracking, and it stays fast enough for the 7-point cases, where
+    chainable_full is not."""
     for size in range(max_f + 1):
         found = []
         for f in itertools.combinations(range(y.size), size):

@@ -6,7 +6,7 @@ import sys
 import pytest
 from conftest import GOLDEN, child_env, run_cli
 
-from chainlab.formulas import FORMULA_DEPTH_CAP
+from chainlab.formulas import FORMULA_DEPTH_CAP, format_formula, parse_formula
 from chainlab.verify import VERIFY_CASES_CAP
 
 SUITE_NAMES = [
@@ -125,6 +125,9 @@ class TestExitCodes:
         doc = json.loads(result.stdout)
         assert doc["agree"] is True
         assert doc["star_formula"].startswith("(or " * 1082 + "(and ")
+        star = parse_formula(doc["star_formula"])
+        assert len(star.parts) == 1083
+        assert format_formula(star) == doc["star_formula"]
 
     def test_parse_error_is_two(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -105,11 +105,6 @@ class TestWords:
         assert words(6, 3) is words(6, 3)
         assert words(30, 2) is not words(30, 2)
 
-    def test_structures_share_word_tuples(self):
-        table = {id(w) for w in words(4, 3)}
-        sub = induced_substructure(corpus.cyclic_order_structure(7), [0, 2, 3, 6])
-        assert sub.relation("C") and all(id(t) in table for t in sub.relation("C"))
-
 
 class TestReduct:
     def test_keep_one_symbol(self):

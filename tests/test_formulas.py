@@ -97,6 +97,15 @@ class TestTextFormat:
         with pytest.raises(ParseError):
             parse_formula(text)
 
+    def test_long_chain_round_trip(self):
+        # A printed chain opens with one head per part but one: past
+        # FORMULA_DEPTH_CAP parts it still parses back, as one node.
+        atoms = [Rel("E", ("u", f"x{i}")) for i in range(600)]
+        for f in (and_all(atoms), or_all([Not(and_all(atoms[:300])), *atoms[300:]])):
+            text = format_formula(f)
+            assert parse_formula(text) == f
+            assert format_formula(parse_formula(text)) == text
+
     def test_random_round_trip(self):
         rng = random.Random(17)
         sig = Signature((("E", 2), ("U", 1)))

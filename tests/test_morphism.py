@@ -163,14 +163,26 @@ class TestCanonicalForm:
             canonical_form(structure(9, {}, []))
 
     def test_substructure_forms_match_direct_loop(self):
-        for y in corpus.fixture_structures():
-            for n in range(1, y.size + 1):
+        # The forms are read off y without building a substructure; building
+        # each one and taking its canonical form is the oracle.
+        inputs = list(corpus.fixture_structures())
+        # A 4-ary relation on 5 points is past the bit-mask key at n = 5, and
+        # the cyclic order on 8 points has exactly SHARED_WORDS_CAP words.
+        inputs += random_structures(random.Random(9), 2, sizes=(5,), arity=(4, 4))
+        inputs.append(corpus.cyclic_order_structure(8))
+        for y in inputs:
+            for n in range(1, y.size + 2):  # n = size + 1 has no subsets
                 direct = {
                     h: canonical_form(induced_substructure(y, h))
                     for h in itertools.combinations(range(y.size), n)
                 }
                 forms = substructure_forms(y, n)
                 assert list(forms.items()) == list(direct.items())
+        for n in (0, -1):
+            with pytest.raises(DomainError):
+                substructure_forms(corpus.cycle_structure(5), n)
+        with pytest.raises(UnsupportedSizeError):
+            substructure_forms(corpus.cycle_structure(9), 9)
 
     def test_matches_full_scan(self):
         inputs = [y for m in range(5) for y in corpus.all_binary_structures(m)]
