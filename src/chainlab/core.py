@@ -212,9 +212,6 @@ class Companion:
         if any(not (0 <= c < self.size) for c in self.constants):
             raise DomainError("constants must lie in the domain")
 
-    def position(self, element: int) -> int:
-        return _positions(self)[element]
-
     @property
     def rest(self) -> tuple[int, ...]:
         """The unmarked elements, in companion order."""
@@ -222,14 +219,9 @@ class Companion:
         return tuple(e for e in self.order if e not in cs)
 
 
-# Entries kept by each memo table (position tables here, canonical forms in
-# morphism): room for a corpus sweep's working set, bounded in long runs.
+# Entries kept by each memo table: room for a corpus sweep's working set,
+# bounded in long runs.
 CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _positions(x: Companion) -> dict[int, int]:
-    return {e: i for i, e in enumerate(x.order)}
 
 
 def companion_structure(
@@ -265,12 +257,7 @@ def validate_companion_axioms(x: Companion) -> tuple[bool, bool, bool, bool]:
     distinct = len(set(x.constants)) == len(x.constants) and all(
         0 <= c < x.size for c in x.constants
     )
-    pos = {e: i for i, e in enumerate(x.order)}
-    ordered = all(
-        pos[x.constants[k]] < pos[x.constants[l]]
-        for k in range(len(x.constants))
-        for l in range(k + 1, len(x.constants))
-    )
+    ordered = tuple(e for e in x.order if e in x.constants) == x.constants
     initial = set(x.order[: len(x.constants)]) == set(x.constants)
     return (is_linear, distinct, ordered, initial)
 
@@ -279,10 +266,7 @@ def companion_as_structure(x: Companion) -> Structure:
     """The companion, viewed as a relational structure over the reserved
     language: binary "R" (strict order) plus one unary "U<j>" per constant."""
     pairs = [("R", 2)] + [(f"U{j}", 1) for j in range(len(x.constants))]
-    pos = {e: i for i, e in enumerate(x.order)}
-    rels: dict[str, set] = {
-        "R": {(a, b) for a in x.order for b in x.order if pos[a] < pos[b]}
-    }
+    rels: dict[str, set] = {"R": set(itertools.combinations(x.order, 2))}
     for j, c in enumerate(x.constants):
         rels[f"U{j}"] = {(c,)}
     return structure(x.size, rels, pairs)
@@ -311,7 +295,7 @@ def structure_from_dict(doc: dict) -> Structure:
             name: [tuple(int(x) for x in t) for t in tuples]
             for name, tuples in doc.get("relations", {}).items()
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed structure document: {exc}") from exc
     return structure(size, relations, sig)
 
@@ -345,8 +329,10 @@ def _load_json(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path} nests too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top-level JSON value must be an object")
     return doc

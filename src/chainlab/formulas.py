@@ -22,6 +22,7 @@ companion use the reserved symbol names "R" and "U0", "U1", ...
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
@@ -229,22 +230,7 @@ def format_formula(f: Formula) -> str:
 
 
 def _tokenize(text: str) -> list[str]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            tokens.append(c)
-            i += 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-    return tokens
+    return re.findall(r"[()]|[^\s()]+", text)
 
 
 def parse_formula(text: str) -> Formula:

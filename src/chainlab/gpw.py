@@ -109,8 +109,6 @@ def rotation_closure(base: Sequence[int]) -> frozenset[tuple[int, ...]]:
         initial, final = base[:c], base[c:]
         out.add(final + initial)
         out.add(tuple(reversed(initial)) + tuple(reversed(final)))
-    if not base:
-        out.add(())
     return frozenset(out)
 
 
@@ -124,7 +122,7 @@ def perturbation_closure(
     r = len(base)
     if k_len < 0 or h_len < 0 or k_len + h_len > r:
         raise DomainError("end blocks exceed the order")
-    k_part, middle, h_part = base[:k_len], base[k_len : r - h_len], base[r - h_len :] if h_len else ()
+    k_part, middle, h_part = base[:k_len], base[k_len : r - h_len], base[r - h_len :]
     out = set()
     for pk in itertools.permutations(k_part):
         for ph in itertools.permutations(h_part):
@@ -171,11 +169,9 @@ def classify_family(fam: ChainOrderFamily) -> GpwClassification:
         for base in orders:
             for k_len in range(total + 1):
                 h_len = total - k_len
-                if k_len + h_len > r:
-                    continue
                 if perturbation_closure(base, k_len, h_len) == order_set:
                     k_sorted = tuple(sorted(base[:k_len]))
-                    h_sorted = tuple(sorted(base[r - h_len :] if h_len else ()))
+                    h_sorted = tuple(sorted(base[r - h_len :]))
                     candidates.append((k_sorted, h_sorted, base, k_len, h_len))
         if candidates:
             k_sorted, h_sorted, base, _, _ = min(candidates)

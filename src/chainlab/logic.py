@@ -105,7 +105,7 @@ def literal_type(x: Companion, point: Sequence[int]) -> LiteralType:
     for v in point:
         if not (0 <= v < x.size):
             raise DomainError(f"tuple entry {v} leaves the domain of size {x.size}")
-    distinct = sorted(set(point), key=x.position)
+    distinct = sorted(set(point), key=x.order.index)
     rank = {v: r for r, v in enumerate(distinct)}
     constant_index = {c: j for j, c in enumerate(x.constants)}
     return _interned_type(
@@ -192,6 +192,9 @@ def definition_formula(
     """The DNF definition of ``symbol`` instantiated at the given variable
     names.  An empty type set renders as an explicit contradiction."""
     types = defs.types_for(symbol)
+    arity = next(a for name, a, _ in defs.entries if name == symbol)
+    if len(variables) != arity:
+        raise DomainError(f"{symbol!r} has arity {arity}, applied to {len(variables)} variables")
     if not types:
         return falsum(variables[0])
     return or_all(render_literal_type(t, variables) for t in types)

@@ -90,6 +90,8 @@ def enumerate_partial_automorphisms(
     A violated tuple stays violated in every extension, so the search can
     prune entire subtrees as soon as a candidate map fails.
     """
+    if max_dom < 0:
+        raise DomainError("max_dom must be non-negative")
     if max_dom > y.size:
         raise DomainError("max_dom exceeds the domain size")
     m = y.size

@@ -306,6 +306,11 @@ class TestAge:
         with pytest.raises(DomainError):
             age_subset(c5, chain5, 2)
 
+    def test_age_subset_past_cap_is_unsupported_size(self):
+        y = corpus.chain_structure(9)
+        with pytest.raises(UnsupportedSizeError):
+            age_subset(y, y, 9)
+
     def test_age_forms_counts(self, c5):
         assert len(age_forms(c5, 2)) == 2
         assert len(age_forms(c5, 3)) == 2

@@ -136,6 +136,23 @@ class TestExitCodes:
         assert result.returncode == 2
         assert json.loads(result.stdout)["error"] == "parse_error"
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"signature": [{"name": "E", "arity": 2}], "size": 2, "relations": [[0, 1]]}',
+            b'{"size": "\xff"}',
+            b"[" * 100_000 + b"]" * 100_000,
+        ],
+        ids=["relations-list", "not-utf8", "deep-array"],
+    )
+    def test_malformed_file_is_parse_error(self, tmp_path, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        result = run_cli("kernel", "--structure", str(bad))
+        assert result.returncode == 2
+        assert json.loads(result.stdout)["error"] == "parse_error"
+        assert "Traceback" not in result.stderr
+
     def test_usage_error_is_two(self):
         result = run_cli("no-such-verb")
         assert result.returncode == 2
@@ -197,6 +214,13 @@ class TestVerbs:
     def test_find_order_absent(self):
         result = run_cli("find-order", "--structure", "c5.json", "--f", "0")
         assert json.loads(result.stdout) == {"order": None}
+
+    def test_age_within_past_cap_is_unsupported_size(self, tmp_path):
+        nine = tmp_path / "empty9.json"
+        nine.write_text(json.dumps({"signature": [{"name": "E", "arity": 2}], "size": 9}))
+        result = run_cli("age", "--structure", str(nine), "--n", "9", "--within", str(nine))
+        assert result.returncode == 1
+        assert json.loads(result.stdout)["error"] == "unsupported_size"
 
     def test_age_forms_and_subset(self):
         forms = json.loads(run_cli("age", "--structure", "c5.json", "--n", "2").stdout)

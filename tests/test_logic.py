@@ -316,6 +316,13 @@ class TestStarTranslate:
         with pytest.raises(DomainError):
             star_translate(Rel("other", ("v0",)), defs)
 
+    @pytest.mark.parametrize("nonempty", [False, True])
+    def test_wrong_arity_atom_rejected(self, nonempty):
+        x = companion_structure(3, (), (0, 1, 2))
+        defs = make_definition_set([("E", 2, [literal_type(x, (0, 1))] if nonempty else [])])
+        with pytest.raises(DomainError, match="'E'"):
+            star_translate(Rel("E", ("u",)), defs)
+
     def test_repeated_variables_in_atom(self):
         # E(v, v) can only hold when the defining types merge both slots.
         x = companion_structure(3, (), (0, 1, 2))

@@ -103,6 +103,10 @@ class TestEnumeration:
         with pytest.raises(DomainError):
             list(enumerate_partial_automorphisms(c4, 5))
 
+    def test_negative_max_dom_rejected(self):
+        with pytest.raises(DomainError, match="non-negative"):
+            list(enumerate_partial_automorphisms(corpus.chain_structure(3), -1))
+
     def test_chain_reversal_has_same_maps(self):
         for r in range(6):
             fwd = corpus.chain_structure(r)
