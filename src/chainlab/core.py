@@ -287,12 +287,18 @@ def structure_to_dict(y: Structure) -> dict:
     }
 
 
+def _json_int(x: object) -> int:
+    if type(x) is not int:  # a float or a boolean is refused, not coerced
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
 def structure_from_dict(doc: dict) -> Structure:
     try:
-        sig = signature((s["name"], s["arity"]) for s in doc["signature"])
-        size = int(doc["size"])
+        sig = signature((s["name"], _json_int(s["arity"])) for s in doc["signature"])
+        size = _json_int(doc["size"])
         relations = {
-            name: [tuple(int(x) for x in t) for t in tuples]
+            name: [tuple(map(_json_int, t)) for t in tuples]
             for name, tuples in doc.get("relations", {}).items()
         }
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -307,11 +313,11 @@ def companion_to_dict(x: Companion) -> dict:
 def companion_from_dict(doc: dict) -> Companion:
     try:
         return Companion(
-            int(doc["size"]),
-            tuple(int(x) for x in doc["order"]),
-            tuple(int(x) for x in doc.get("constants", [])),
+            _json_int(doc["size"]),
+            tuple(map(_json_int, doc["order"])),
+            tuple(map(_json_int, doc.get("constants", []))),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed companion document: {exc}") from exc
 
 

@@ -212,8 +212,9 @@ def _least_relabeling(
     rows' and leaves no better choice.  A branch whose bits fall below the
     best leaf's is cut.  A leaf is reached when every cell is a single
     element, or when the rows run out and every cell is uniform (any order
-    inside it gives the same string); leaves compare by their relabeled
-    relations, which is comparing the bits of the rows not yet read.  This is
+    inside it gives the same string); leaves compare by each relation's sorted
+    word indices (a word's place in lex order), which is comparing the bits of
+    the rows not yet read, and only the winner is relabeled.  This is
     individualization and refinement (McKay and Piperno, "Practical graph
     isomorphism, II", 2014) aimed at the least encoding.
     """
@@ -233,16 +234,10 @@ def _least_relabeling(
         for prefix in itertools.product(range(n), repeat=arity - 1)
     )
     rows: list[tuple[int, tuple[int, ...], int]] = []
-    best = None  # the least relabeled relations found so far
+    best = None  # the least leaf key found so far
     best_labeling: list[int] = []
     best_rows: dict[int, int] = {}  # row bits of best_labeling, as read
     twin_memo: dict[tuple[int, int], bool] = {}
-
-    def relabel(labeling: list[int]):
-        label = {x: i for i, x in enumerate(labeling)}
-        return tuple(
-            tuple(sorted(tuple(label[x] for x in t) for t in tuples)) for tuples in relations
-        )
 
     def refine(i: int, labeled: list[int], cells: list[list[int]]):
         """Row i's bits (as an int, label 0 highest) and the cells split by
@@ -303,13 +298,22 @@ def _least_relabeling(
                 ahead = bits > best_rows[i]
             i += 1
         labeling = labeled + [x for cell in cells for x in cell]
-        form = relabel(labeling)
-        if best is None or form < best:
-            best, best_labeling = form, labeling
+        pos = sorted(range(n), key=labeling.__getitem__)  # inverse: each element's label
+        key = []  # each relation's sorted word indices under labeling
+        for tuples in relations:
+            indices = []
+            for t in tuples:
+                k = 0
+                for x in t:
+                    k = k * n + pos[x]
+                indices.append(k)
+            key.append(sorted(indices))
+        if best is None or key < best:
+            best, best_labeling = key, labeling
             best_rows.clear()
 
     search(0, [], [list(range(n))] if n else [], False)
-    return best
+    return tuple(tuple(sorted(tuple(map(best_labeling.index, t)) for t in ts)) for ts in relations)
 
 
 def substructure_forms(y: Structure, n: int) -> dict[tuple[int, ...], CanonicalForm]:

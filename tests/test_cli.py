@@ -137,18 +137,36 @@ class TestExitCodes:
         assert json.loads(result.stdout)["error"] == "parse_error"
 
     @pytest.mark.parametrize(
-        "content",
+        "kind,content",
         [
-            b'{"signature": [{"name": "E", "arity": 2}], "size": 2, "relations": [[0, 1]]}',
-            b'{"size": "\xff"}',
-            b"[" * 100_000 + b"]" * 100_000,
+            (
+                "structure",
+                b'{"signature": [{"name": "E", "arity": 2}], "size": 2, "relations": [[0, 1]]}',
+            ),
+            ("structure", b'{"size": "\xff"}'),
+            ("structure", b"[" * 100_000 + b"]" * 100_000),
+            ("structure", b'{"signature": [{"name": "E", "arity": 2}], "size": 1e400}'),
+            ("companion", b'{"size": 1e400, "order": [0, 1, 2, 3]}'),
+            ("structure", b'{"signature": [{"name": "E", "arity": 2.5}], "size": 3}'),
+            ("companion", b'{"size": 4, "order": [0, 1, 2, 3], "constants": [true]}'),
         ],
-        ids=["relations-list", "not-utf8", "deep-array"],
+        ids=[
+            "relations-list",
+            "not-utf8",
+            "deep-array",
+            "size-1e400",
+            "companion-size-1e400",
+            "float-arity",
+            "bool-constant",
+        ],
     )
-    def test_malformed_file_is_parse_error(self, tmp_path, content):
+    def test_malformed_file_is_parse_error(self, tmp_path, kind, content):
         bad = tmp_path / "bad.json"
         bad.write_bytes(content)
-        result = run_cli("kernel", "--structure", str(bad))
+        if kind == "structure":
+            result = run_cli("kernel", "--structure", str(bad))
+        else:
+            result = run_cli("define", "--structure", "c4.json", "--companion", str(bad))
         assert result.returncode == 2
         assert json.loads(result.stdout)["error"] == "parse_error"
         assert "Traceback" not in result.stderr

@@ -206,3 +206,49 @@ class TestSerialization:
     def test_malformed_companion_rejected(self):
         with pytest.raises(ParseError):
             companion_from_dict({"order": [0, 1]})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("arity", 2.5),
+            ("arity", True),
+            ("size", 3.0),
+            ("size", True),
+            ("size", float("inf")),
+            ("entry", 1.0),
+            ("entry", False),
+        ],
+    )
+    def test_non_integer_structure_number_refused(self, field, value):
+        # int() would read 2.5 as 2 and True as 1; the file loader refuses them.
+        doc = {"signature": [{"name": "E", "arity": 2}], "size": 3, "relations": {"E": [[0, 1]]}}
+        if field == "arity":
+            doc["signature"][0]["arity"] = value
+        elif field == "size":
+            doc["size"] = value
+        else:
+            doc["relations"]["E"] = [[value, 1]]
+        with pytest.raises(ParseError, match="expected an integer"):
+            structure_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("size", 2.0),
+            ("size", False),
+            ("order", 1.0),
+            ("order", True),
+            ("constants", 0.0),
+            ("constants", False),
+        ],
+    )
+    def test_non_integer_companion_number_refused(self, field, value):
+        doc = {"size": 2, "order": [0, 1], "constants": [0]}
+        doc[field] = value if field == "size" else [value] + doc[field][1:]
+        with pytest.raises(ParseError, match="expected an integer"):
+            companion_from_dict(doc)
+
+    def test_oversized_companion_is_parse_error(self):
+        # Too large for range(), which raises OverflowError.
+        with pytest.raises(ParseError):
+            companion_from_dict({"size": 10**400, "order": [0]})

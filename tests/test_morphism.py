@@ -203,9 +203,33 @@ class TestCanonicalForm:
                 for h in itertools.combinations(range(8), k)
             }
             inputs += sorted(subs, key=lambda z: (z.size, sorted(map(sorted, z.relations))))
+        # Shapes random_structures cannot make (its arity is capped at 4):
+        # sparse 5- and 7-ary relations, whose rows are nearly all empty, and
+        # a unary symbol beside a ternary one; each with two shuffled copies.
+        rng = random.Random(13)
+        hand_built = []
+        for m, ar, k in [(6, 5, 6), (7, 5, 6), (7, 5, 3), (6, 7, 6)]:
+            tuples = {tuple(rng.randrange(m) for _ in range(ar)) for _ in range(k)}
+            hand_built.append(structure(m, {"R": tuples}, [("R", ar)]))
+        ternary = [(0, 1, 2), (2, 1, 0), (3, 3, 5), (4, 5, 5), (1, 4, 1)]
+        unary = [(0,), (3,), (4,)]
+        hand_built.append(structure(6, {"U": unary, "T": ternary}, [("U", 1), ("T", 3)]))
+        shuffled_copies = []
+        for y in hand_built:
+            for _ in range(2):
+                perm = list(range(y.size))
+                rng.shuffle(perm)
+                relations = {
+                    name: [tuple(perm[x] for x in t) for t in r]
+                    for name, r in zip(y.sig.names, y.relations)
+                }
+                shuffled_copies.append((y, structure(y.size, relations, y.sig)))
+        inputs += hand_built + [z for _, z in shuffled_copies]
         assert {y.size for y in inputs} == set(range(9))
         for y in inputs:
             assert canonical_form(y) == canonical_form_full(y), y
+        for y, z in shuffled_copies:
+            assert canonical_form(z) == canonical_form(y), (y, z)
 
     @pytest.mark.parametrize("name", ["empty2", "empty3", "complete", "cyclic", "co-C8", "Q3", "K44"])
     def test_symmetric_eight_point_structures_are_fast(self, name):
