@@ -11,8 +11,10 @@ structure exactly when, for each j up to the largest arity, all its j-subsets
 have one quantifier-free type over F (Fraisse; Frasnay).  They share one
 purity step, ``_extends_purely``, over one table of types,
 ``_subset_types``: a decided order is chainable exactly when it is a path of
-the search.  verify.py checks the decision against the full map oracle,
-which shares no code with it.
+the search.  The search also gives up on a complement of several 1-types
+and on a prefix some remaining element cannot extend; it lists the same
+orders, lexicographically, with no cap.  verify.py checks the decision
+against the full map oracle, which shares no code with it.
 """
 
 from __future__ import annotations
@@ -149,22 +151,29 @@ def _split_domain(y: Structure, f_set: Iterable[int]) -> tuple[frozenset[int], l
 def iter_chain_orders(y: Structure, f_set: Iterable[int]) -> Iterator[tuple[int, ...]]:
     """Every complement order chaining ``y`` over ``f_set``, lexicographically.
 
-    Backtracks over the ascending remaining elements.  The prefix may grow by
-    ``e`` when it then extends purely (``_extends_purely``, j up to the
-    largest arity).  A failing prefix cannot recover.
+    Backtracks over the ascending remaining elements, growing the prefix by
+    ``e`` only when it then extends purely (``_extends_purely``, j up to the
+    largest arity).  Two cuts change neither the orders listed nor their
+    order: nothing comes out unless the complement has one 1-type over F
+    (each singleton of a chaining order has the type of the first), and a
+    prefix is dropped unless every remaining element extends it purely, since
+    each follows the whole prefix in any completion.  There is no cap.
     """
     f, rest = _split_domain(y, f_set)
     bound = y.sig.max_arity()
     type_of = _subset_types(y, tuple(sorted(f)))
+    if len({type_of((e,)) for e in rest}) > 1:
+        return
     prefix: list[int] = []
 
     def extend(remaining: list[int]) -> Iterator[tuple[int, ...]]:
         if not remaining:
             yield tuple(prefix)
+        if not all(_extends_purely(type_of, prefix + [e], bound) for e in remaining):
+            return
         for i, e in enumerate(remaining):
             prefix.append(e)
-            if _extends_purely(type_of, prefix, bound):
-                yield from extend(remaining[:i] + remaining[i + 1 :])
+            yield from extend(remaining[:i] + remaining[i + 1 :])
             prefix.pop()
 
     yield from extend(rest)

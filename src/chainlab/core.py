@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -293,10 +294,18 @@ def _json_int(x: object) -> int:
     return x
 
 
+def _json_name(x: object) -> str:
+    if type(x) is not str:  # signature() would read 5 as "5"
+        raise TypeError(f"expected a symbol name string, got {x!r}")
+    return x
+
+
 def structure_from_dict(doc: dict) -> Structure:
     try:
-        sig = signature((s["name"], _json_int(s["arity"])) for s in doc["signature"])
+        sig = signature((_json_name(s["name"]), _json_int(s["arity"])) for s in doc["signature"])
         size = _json_int(doc["size"])
+        if size > sys.maxsize:  # range() cannot index it
+            raise ValueError(f"size exceeds {sys.maxsize}")
         relations = {
             name: [tuple(map(_json_int, t)) for t in tuples]
             for name, tuples in doc.get("relations", {}).items()

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from chainlab import corpus
+from chainlab import chainability, corpus
 from chainlab.chainability import (
     ChainWitness,
     age_forms,
@@ -208,6 +208,32 @@ class TestKernel:
     def test_empty_signature_kernel_is_empty(self):
         report = kernel(structure(4, {}, []), 4)
         assert report.min_size == 0
+
+
+class TestSearchWork:
+    """Purity steps the order search takes, counted through a wrapper: a
+    regression guard for the 1-type check and the forward check."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        calls = [0]
+        step = chainability._extends_purely
+
+        def counted(*args):
+            calls[0] += 1
+            return step(*args)
+
+        monkeypatch.setattr(chainability, "_extends_purely", counted)
+        return calls
+
+    def test_mixed_one_types_take_no_step(self, steps):
+        assert find_chain_order(corpus.unary_structure(8, [0, 1, 2, 3]), ()) is None
+        assert steps[0] == 0
+
+    def test_cycle_kernel_steps(self, steps):
+        report = kernel(corpus.cycle_structure(8), 8)
+        assert (report.min_size, len(report.minimal_sets)) == (7, 8)
+        assert steps[0] <= 148  # 8,000 without the two cuts
 
 
 class TestDegenerateSizes:

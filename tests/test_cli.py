@@ -149,6 +149,14 @@ class TestExitCodes:
             ("companion", b'{"size": 1e400, "order": [0, 1, 2, 3]}'),
             ("structure", b'{"signature": [{"name": "E", "arity": 2.5}], "size": 3}'),
             ("companion", b'{"size": 4, "order": [0, 1, 2, 3], "constants": [true]}'),
+            (
+                "structure",
+                b'{"signature": [{"name": "E", "arity": 2}], "size": 1' + b"0" * 400 + b"}",
+            ),
+            (
+                "structure",
+                b'{"signature": [{"name": 5, "arity": 2}], "size": 3, "relations": {}}',
+            ),
         ],
         ids=[
             "relations-list",
@@ -158,6 +166,8 @@ class TestExitCodes:
             "companion-size-1e400",
             "float-arity",
             "bool-constant",
+            "size-400-digits",
+            "int-name",
         ],
     )
     def test_malformed_file_is_parse_error(self, tmp_path, kind, content):

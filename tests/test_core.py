@@ -252,3 +252,16 @@ class TestSerialization:
         # Too large for range(), which raises OverflowError.
         with pytest.raises(ParseError):
             companion_from_dict({"size": 10**400, "order": [0]})
+
+    def test_oversized_structure_is_parse_error(self):
+        # range() cannot index a size past sys.maxsize, so no search could run.
+        doc = {"signature": [{"name": "E", "arity": 2}], "size": 10**400}
+        with pytest.raises(ParseError, match="size exceeds"):
+            structure_from_dict(doc)
+
+    @pytest.mark.parametrize("name", [5, None, ["E"]])
+    def test_non_string_symbol_name_refused(self, name):
+        # signature() would read 5 as "5"; the file loader refuses it.
+        doc = {"signature": [{"name": name, "arity": 2}], "size": 3, "relations": {}}
+        with pytest.raises(ParseError, match="symbol name"):
+            structure_from_dict(doc)

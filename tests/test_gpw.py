@@ -6,7 +6,7 @@ import pytest
 
 from chainlab import corpus
 from chainlab.chainability import ChainWitness, find_chain_order, is_chainable_with
-from chainlab.core import structure
+from chainlab.core import signature, structure
 from chainlab.errors import DomainError, UnsupportedSizeError
 from chainlab.gpw import (
     ChainOrderFamily,
@@ -16,7 +16,8 @@ from chainlab.gpw import (
     perturbation_closure,
     rotation_closure,
 )
-from chainlab.verify import chainable_full
+from chainlab.logic import apply_definitions
+from chainlab.verify import chainable_full, random_companion, random_definition_set
 
 
 class TestEnumeration:
@@ -50,10 +51,18 @@ class TestEnumeration:
     def test_matches_permutation_filter(self):
         # The type-purity search lists exactly the arrangements that pass the
         # full map oracle, which shares no code with it, in
-        # itertools.permutations order.
+        # itertools.permutations order.  On the 6-point structures chainable
+        # over a planted frozen set, most frozen sets leave a complement of
+        # several 1-types, and the rest have prefixes that some remaining
+        # element cannot extend, so both cuts of the search fire.
         sample = random.Random(3).sample(corpus.all_binary_structures(4), 100)
         ternary = [corpus.cyclic_order_structure(5)]
-        for y in corpus.all_binary_structures(3) + sample + ternary:
+        rng, planted = random.Random(5), []
+        for symbols, k in [([("E", 2)], 2), ([("E", 2), ("U", 1)], 1), ([("C", 3)], 2)]:
+            sig = signature(symbols)
+            x = random_companion(rng, 6, k)
+            planted.append(apply_definitions(x, random_definition_set(rng, x, sig), sig))
+        for y in corpus.all_binary_structures(3) + sample + ternary + planted:
             for size in range(y.size + 1):
                 for f in itertools.combinations(range(y.size), size):
                     rest = sorted(set(range(y.size)) - set(f))
