@@ -78,7 +78,7 @@ def _validate_witness(y: Structure, w: ChainWitness) -> None:
     rest = list(w.rest_order)
     if w.f_set & set(rest):
         raise DomainError("witness parts overlap")
-    if sorted(w.f_set | set(rest)) != list(range(y.size)) or len(set(rest)) != len(rest):
+    if len(w.f_set) + len(rest) != y.size or sorted(w.f_set | set(rest)) != list(range(y.size)):
         raise DomainError("witness does not partition the domain")
 
 
@@ -228,13 +228,8 @@ def profile(y: Structure, up_to: int) -> ProfileReport:
             f"profile up_to={up_to} exceeds min(size, {CANONICAL_SIZE_CAP}) = "
             f"{min(y.size, CANONICAL_SIZE_CAP)}"
         )
-    values = []
-    forms_per_n = []
-    for n in range(1, up_to + 1):
-        forms = set(substructure_forms(y, n).values())
-        values.append(len(forms))
-        forms_per_n.append(tuple(sorted(forms)))
-    return ProfileReport(tuple(values), tuple(forms_per_n))
+    forms_per_n = tuple(tuple(sorted(age_forms(y, n))) for n in range(1, up_to + 1))
+    return ProfileReport(tuple(len(forms) for forms in forms_per_n), forms_per_n)
 
 
 def _check_age_size(y: Structure, n: int) -> None:

@@ -15,7 +15,7 @@ import json
 import sys
 
 from .core import load_structure
-from .errors import ChainlabError, ParseError
+from .errors import ChainlabError, DomainError, ParseError
 
 
 def _int_list(text: str) -> list[int]:
@@ -139,6 +139,9 @@ def _cmd_star_eval(args) -> dict:
     defs = extract_definitions(x, y)
     translated = star_translate(f, defs)
     assignment = _assignment(args.assign)
+    for var, value in assignment.items():
+        if not 0 <= value < y.size:
+            raise DomainError(f"--assign {var}={value} lies outside the domain 0..{y.size - 1}")
     object_value = eval_formula(f, y, assignment)
     companion_value = eval_formula(translated, companion_as_structure(x), assignment)
     return {

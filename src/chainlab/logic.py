@@ -343,6 +343,14 @@ def _validate_family(family: Sequence[Structure], keep: Iterable[str]) -> tuple[
     return n, keep_list
 
 
+def _closed(quantifier, variables: Sequence[str], body: Formula) -> Formula:
+    """``body`` under ``quantifier`` over each of ``variables``, the first
+    outermost."""
+    for var in reversed(variables):
+        body = quantifier(var, body)
+    return body
+
+
 def age_sentence(family: Sequence[Structure], keep: Iterable[str]) -> Formula:
     """The sentence asserting that the isomorphism types of n-element
     substructures, after restriction to the kept symbols, are exactly the
@@ -354,17 +362,11 @@ def age_sentence(family: Sequence[Structure], keep: Iterable[str]) -> Formula:
     n, keep_list = _validate_family(family, keep)
     variables = [f"v{i}" for i in range(n)]
     matchers = [_match_formula(k, keep_list, variables) for k in family]
-
-    def close(quantifier, body: Formula) -> Formula:
-        for var in reversed(variables):
-            body = quantifier(var, body)
-        return body
-
-    parts: list[Formula] = [close(Exists, phi) for phi in matchers]
+    parts: list[Formula] = [_closed(Exists, variables, phi) for phi in matchers]
     disjunction = or_all(matchers)
     guard = distinctness(variables)
     body = disjunction if guard is None else implies(guard, disjunction)
-    parts.append(close(Forall, body))
+    parts.append(_closed(Forall, variables, body))
     return and_all(parts)
 
 
@@ -436,23 +438,12 @@ def theory_star_sentences(k: int) -> list[Formula]:
         and_all(
             [
                 Forall(u, Not(Rel("R", (u, u)))),
-                Forall(
-                    u,
-                    Forall(
-                        v,
-                        Forall(
-                            w,
-                            implies(
-                                And(Rel("R", (u, v)), Rel("R", (v, w))),
-                                Rel("R", (u, w)),
-                            ),
-                        ),
-                    ),
+                _closed(
+                    Forall,
+                    (u, v, w),
+                    implies(And(Rel("R", (u, v)), Rel("R", (v, w))), Rel("R", (u, w))),
                 ),
-                Forall(
-                    u,
-                    Forall(v, implies(Not(Eq(u, v)), Or(r_uv, Rel("R", (v, u))))),
-                ),
+                _closed(Forall, (u, v), implies(Not(Eq(u, v)), Or(r_uv, Rel("R", (v, u))))),
             ]
         )
     ]
@@ -475,12 +466,8 @@ def theory_star_sentences(k: int) -> list[Formula]:
     if k >= 2:
         sentences.append(
             and_all(
-                Forall(
-                    u,
-                    Forall(
-                        v,
-                        implies(And(Rel(f"U{a}", (u,)), Rel(f"U{b}", (v,))), r_uv),
-                    ),
+                _closed(
+                    Forall, (u, v), implies(And(Rel(f"U{a}", (u,)), Rel(f"U{b}", (v,))), r_uv)
                 )
                 for a, b in itertools.combinations(range(k), 2)
             )
@@ -488,13 +475,7 @@ def theory_star_sentences(k: int) -> list[Formula]:
     if k >= 1:
         others = [Not(Rel(f"U{j}", (v,))) for j in range(k)]
         sentences.append(
-            Forall(
-                u,
-                Forall(
-                    v,
-                    implies(And(Rel(f"U{k - 1}", (u,)), and_all(others)), r_uv),
-                ),
-            )
+            _closed(Forall, (u, v), implies(And(Rel(f"U{k - 1}", (u,)), and_all(others)), r_uv))
         )
     return sentences
 

@@ -1,17 +1,16 @@
 """Named invariant suites: exhaustive at small scale, seeded beyond.
 
-``SUITES`` maps each suite name to a pair (scope, check).  The scope builder
-takes the run's shared corpora and the suite's own generator and returns the
-check's arguments; the check returns ``(cases, failures)``.  The corpora that
-several suites read (the small binary corpus, its reduction-oracle sweep and
-the enumerated chaining-order families) are built at most once per
-``run_suites`` call.  The checks are scope-parameterized, so the acceptance
-tests rerun the same checks over their own, larger corpora.  Every dual-route
-check keeps its two sides separate: the type-purity chainability decision is
-compared against full-map enumeration, branch-and-bound canonical forms
-against the scan of all relabelings, structural definition matching against
-formula evaluation, sentence evaluation against direct canonical-form
-comparison.
+``SUITES`` maps each suite name to one function that takes the run's shared
+corpora and the suite's own generator, builds its inputs and returns
+``(cases, failures)``.  The corpora that several suites read (the small
+binary corpus, its reduction-oracle sweep and the enumerated chaining-order
+families) are built at most once per ``run_suites`` call.  The public checks
+are scope-parameterized, so the acceptance tests rerun them over their own,
+larger corpora.  Every dual-route check keeps its two sides separate: the
+type-purity chainability decision is compared against full-map enumeration,
+branch-and-bound canonical forms against the scan of all relabelings,
+structural definition matching against formula evaluation, sentence
+evaluation against direct canonical-form comparison.
 """
 
 from __future__ import annotations
@@ -406,9 +405,9 @@ def trace_check(pairs: Iterable[tuple[Structure, ChainWitness]]):
 @_tallied
 def age_sentence_check(
     structures: Sequence[Structure],
-    rng: random.Random | None = None,
-    max_n: int = 3,
-    foreign_fraction: float = 0.0,
+    rng: random.Random,
+    max_n: int,
+    foreign_fraction: float,
 ):
     """Sentence evaluation must agree with direct age comparison.
 
@@ -421,12 +420,7 @@ def age_sentence_check(
     for y in structures:
         for n in range(1, min(max_n, y.size) + 1):
             families = [age_representatives(y, n)]
-            if (
-                foreign_fraction
-                and rng is not None
-                and rng.random() < foreign_fraction
-                and y.sig == Signature((("E", 2),))
-            ):
+            if rng.random() < foreign_fraction and y.sig == Signature((("E", 2),)):
                 families.append(age_representatives(chain_structure(max(y.size, n), "E"), n))
             for family in families:
                 for keep in _subsignatures(y.sig):
@@ -496,11 +490,13 @@ def monomorphic_check(sizes: Iterable[int]):
 
 
 # ---------------------------------------------------------------------------
-# Suite checks
+# Suite checks: each takes the run's shared corpora and the suite's own
+# generator, builds its inputs and returns ``(cases, failures)``
 
 
 @_tallied
-def _restriction_composition_check(rng: random.Random, corpus: Iterable[Structure]):
+def _restriction_composition_check(s: _Shared, rng: random.Random):
+    corpus = s.small + fixture_structures() + random_structures(rng, s.cases // 10 + 1)
     for y in corpus:
         for h in _at_most(rng, _nonempty_subsets(y.size), 20):
             inner = induced_substructure(y, h)
@@ -512,8 +508,8 @@ def _restriction_composition_check(rng: random.Random, corpus: Iterable[Structur
 
 
 @_tallied
-def _reduct_commute_check(rng: random.Random, corpus: Iterable[Structure]):
-    for y in corpus:
+def _reduct_commute_check(s: _Shared, rng: random.Random):
+    for y in random_structures(rng, max(s.cases // 5, 20), sizes=(3, 4, 5), symbols=(2,)):
         for _ in range(5):
             size = rng.randint(1, y.size)
             h = rng.sample(range(y.size), size)
@@ -524,8 +520,8 @@ def _reduct_commute_check(rng: random.Random, corpus: Iterable[Structure]):
 
 
 @_tallied
-def _companion_axioms_check(rng: random.Random, count: int):
-    for _ in range(count):
+def _companion_axioms_check(s: _Shared, rng: random.Random):
+    for _ in range(max(s.cases, 50)):
         m = rng.randint(0, 6)
         k = rng.randint(0, m)
         x = random_companion(rng, m, k)
@@ -538,8 +534,8 @@ def _companion_axioms_check(rng: random.Random, count: int):
 
 
 @_tallied
-def _pa_restriction_check(corpus: Iterable[Structure]):
-    for y in corpus:
+def _pa_restriction_check(s: _Shared, rng: random.Random):
+    for y in fixture_structures() + random_structures(rng, max(s.cases // 20, 5)):
         for p in enumerate_partial_automorphisms(y, min(y.size, 3)):
             for r in range(len(p.pairs)):
                 for sub in itertools.combinations(p.pairs, r):
@@ -549,8 +545,8 @@ def _pa_restriction_check(corpus: Iterable[Structure]):
 
 
 @_tallied
-def _pa_reversal_check(sizes: Iterable[int]):
-    for r in sizes:
+def _pa_reversal_check(s: _Shared, rng: random.Random):
+    for r in range(6):
         forward = chain_structure(r)
         backward = structure(
             r, {"lt": [(i, j) for i in range(r) for j in range(r) if i > j]}, [("lt", 2)]
@@ -571,13 +567,14 @@ def _iso_witness_ok(a: Structure, b: Structure, p: PartialMap) -> bool:
 
 
 @_tallied
-def _iso_canonical_check(rng: random.Random, small: list[Structure], extra: list[Structure]):
+def _iso_canonical_check(s: _Shared, rng: random.Random):
+    extra = random_structures(rng, max(s.cases // 10, 10))
     for m in (2, 3):
-        reps = [y for y in small if y.size == m]
+        reps = [y for y in s.small if y.size == m]
         for a, b in itertools.combinations(reps, 2):
             apart = find_isomorphism(a, b) is None and canonical_form(a) != canonical_form(b)
             yield apart or "distinct representatives look isomorphic"
-    for y in small + extra:
+    for y in s.small + extra:
         if y.size == 0:
             continue
         perm = list(range(y.size))
@@ -601,16 +598,18 @@ def _iso_canonical_check(rng: random.Random, small: list[Structure], extra: list
             )
 
 
-def _reduction_check(
-    sweep: SweepOutcome, sampled: Iterable[tuple[Structure, ChainWitness]]
-) -> tuple[int, list[str]]:
-    extra = _decision_sweep(sampled)
-    return sweep.cases + extra.cases, sweep.failures + extra.failures
+def _reduction_oracle_check(s: _Shared, rng: random.Random) -> tuple[int, list[str]]:
+    """The shared sweep of the small corpus, then witnesses sampled on random
+    structures of arity up to 3."""
+    structures = random_structures(rng, max(s.cases // 10, 10), arity=(1, 3))
+    extra = _decision_sweep(_sampled_witnesses(rng, structures, 12))
+    return s.sweep.cases + extra.cases, s.sweep.failures + extra.failures
 
 
 @_tallied
-def _witness_reversal_check(pairs: Iterable[tuple[Structure, ChainWitness]]):
-    for y, w in pairs:
+def _witness_reversal_check(s: _Shared, rng: random.Random):
+    structures = s.small + random_structures(rng, max(s.cases // 20, 5))
+    for y, w in _sampled_witnesses(rng, structures, 30):
         reversed_w = ChainWitness(w.f_set, tuple(reversed(w.rest_order)))
         yield is_chainable_with(y, w) == is_chainable_with(y, reversed_w) or (
             f"reversal changes chainability on {y.relations} F={sorted(w.f_set)}"
@@ -618,12 +617,12 @@ def _witness_reversal_check(pairs: Iterable[tuple[Structure, ChainWitness]]):
 
 
 @_tallied
-def _monotonicity_check(chainable: Iterable[tuple[Structure, ChainWitness]]):
+def _monotonicity_check(s: _Shared, rng: random.Random):
     # Freezing an interior element of the order can break chainability (an
     # increasing singleton map may jump across the frozen point; the linear
     # order on three points witnesses this), so monotonicity only holds for
     # the endpoints of the witness order.
-    for y, w in chainable:
+    for y, w in s.sweep.chainable:
         if not w.rest_order:
             continue
         for x in (w.rest_order[0], w.rest_order[-1]):
@@ -634,32 +633,26 @@ def _monotonicity_check(chainable: Iterable[tuple[Structure, ChainWitness]]):
 
 
 @_tallied
-def _age_transfer_check(rng: random.Random, reps: list[Structure], limit: int):
-    kernels = {y: kernel(y, y.size).min_size for y in reps}
-    pairs = [(z, y) for z in reps for y in reps if y.size >= z.size > 0]
-    # The reps share one signature, so age containment is a comparison of
-    # age_forms, each computed once per structure and size.
+def _age_transfer_check(s: _Shared, rng: random.Random):
+    kernels = {y: kernel(y, y.size).min_size for y in s.small}
+    pairs = [(z, y) for z in s.small for y in s.small if y.size >= z.size > 0]
+    # The small corpus shares one signature, so age containment is a
+    # comparison of age_forms, each computed once per structure and size.
     ages = lru_cache(maxsize=None)(age_forms)
-    for z, y in _at_most(rng, pairs, limit):
+    for z, y in _at_most(rng, pairs, max(s.cases * 20, 2000)):
         if all(ages(z, n) <= ages(y, n) for n in range(1, z.size + 1)):
             yield kernels[z] <= kernels[y] or (
                 f"age containment with kernel {kernels[z]} > {kernels[y]}"
             )
 
 
-def _definability_check(
-    chainable: Iterable[tuple[Structure, ChainWitness]], rng: random.Random, count: int
-) -> tuple[int, list[str]]:
-    cases, failures = roundtrip_check(chainable)
-    more, more_failures = _generated_chainable_check(rng, count)
-    return cases + more, failures + more_failures
-
-
 @_tallied
-def _generated_chainable_check(rng: random.Random, count: int):
-    # The converse of the round trip: structures generated from random
-    # definitions are chainable over the defining companion.
-    for _ in range(count):
+def _definability_roundtrip_check(s: _Shared, rng: random.Random):
+    # The round trip on the chainable 3-point pairs, then its converse:
+    # structures generated from random definitions are chainable over the
+    # defining companion.
+    yield from roundtrip_check.__wrapped__([(y, w) for y, w in s.sweep.chainable if y.size == 3])
+    for _ in range(max(s.cases, 100)):
         x, _, y = _generated(rng, Signature((("E", 2), ("U", 1))), 2)
         yield is_chainable_with(y, ChainWitness(frozenset(x.constants), x.rest)) or (
             f"generated structure not chainable over its companion: {y.relations}"
@@ -667,11 +660,11 @@ def _generated_chainable_check(rng: random.Random, count: int):
 
 
 @_tallied
-def _quotient_check(rng: random.Random, count: int):
+def _quotient_check(s: _Shared, rng: random.Random):
     sig = Signature((("E0", 2), ("E1", 2), ("U0", 1), ("U1", 1)))
     mapping = {"E1": "E0", "U1": "U0"}
     variables = ("x0", "x1")
-    for _ in range(count):
+    for _ in range(max(s.cases, 200)):
         m = rng.randint(1, 5)
         edges = {
             (a, b)
@@ -691,28 +684,24 @@ def _quotient_check(rng: random.Random, count: int):
         yield same or f"quotient translation changed truth on {z.relations}"
 
 
-def _companion_scope(rng: random.Random, count: int) -> list[Companion]:
-    """Every companion on 1 to 3 points (each permutation split into a marked
-    prefix and an ordered rest), then ``count`` random ones on 4 or 5."""
-    out = [
+@_tallied
+def _literal_type_partition_check(s: _Shared, rng: random.Random):
+    """Type equality must coincide with satisfying the same companion
+    literals, on every companion on 1 to 3 points (each permutation split
+    into a marked prefix and an ordered rest) and random ones on 4 or 5.
+    The fingerprints below read the literals straight off the
+    companion-as-structure relations, independent of the type computation.
+    The two partitions of the points are equal exactly when pairing each
+    point's type with its fingerprint makes no more classes than either."""
+    companions = [
         companion_structure(m, perm[:k], perm[k:])
         for m in range(1, 4)
         for perm in itertools.permutations(range(m))
         for k in range(m + 1)
     ]
-    for _ in range(count):
+    for _ in range(max(s.cases // 5, 20)):
         m = rng.randint(4, 5)
-        out.append(random_companion(rng, m, rng.randint(0, min(m, 3))))
-    return out
-
-
-@_tallied
-def _literal_type_partition_check(companions: Iterable[Companion]):
-    """Type equality must coincide with satisfying the same companion
-    literals; the fingerprints below read the literals straight off the
-    companion-as-structure relations, independent of the type computation.
-    The two partitions of the points are equal exactly when pairing each
-    point's type with its fingerprint makes no more classes than either."""
+        companions.append(random_companion(rng, m, rng.randint(0, min(m, 3))))
     for x in companions:
         xs = companion_as_structure(x)
         order_rel = xs.relation("R")
@@ -740,8 +729,8 @@ def _literal_type_partition_check(companions: Iterable[Companion]):
 
 
 @_tallied
-def _classification_check(families: Iterable[ChainOrderFamily]):
-    for fam in families:
+def _classification_check(s: _Shared, rng: random.Random):
+    for fam in s.reversal[2]:
         cls = classify_family(fam)
         if cls.tag == "Unmatched":
             yield f"unmatched family over F={sorted(fam.f_set)}: {fam.sorted_orders()[:4]}"
@@ -753,8 +742,8 @@ def _classification_check(families: Iterable[ChainOrderFamily]):
 
 
 @_tallied
-def _presentation_check(rng: random.Random, families: Iterable[ChainOrderFamily]):
-    for fam in families:
+def _presentation_check(s: _Shared, rng: random.Random):
+    for fam in s.reversal[2]:
         shuffled = list(fam.orders)
         rng.shuffle(shuffled)
         same = classify_family(ChainOrderFamily(fam.f_set, tuple(shuffled))) == classify_family(fam)
@@ -762,7 +751,7 @@ def _presentation_check(rng: random.Random, families: Iterable[ChainOrderFamily]
 
 
 @_tallied
-def _named_fixture_check():
+def _named_fixture_check(s: _Shared, rng: random.Random):
     chain_family = enumerate_chaining_orders(chain_structure(5), [])
     chain_class = classify_family(chain_family)
     pentagon_family = enumerate_chaining_orders(pentagon_cyclic_order(), [])
@@ -784,11 +773,6 @@ def _named_fixture_check():
     yield classify_family(unary_family).tag == "AllOrders" or (
         "marked-point family classified AllOrders"
     )
-
-
-def _reported(cases: int, failures: list[str], *_) -> tuple[int, list[str]]:
-    """The tally of a check that already ran on a shared corpus."""
-    return cases, failures
 
 
 # ---------------------------------------------------------------------------
@@ -834,90 +818,41 @@ class _Shared:
         return reversal_closure_check(scope)
 
 
-# Each entry: a scope builder, from the shared corpora and the suite's own
-# generator to the check's arguments, and the check.
-SUITES: dict[str, tuple[Callable[[_Shared, random.Random], tuple], Callable]] = {
-    "core-restriction-composition": (
-        lambda s, rng: (
-            rng,
-            s.small + fixture_structures() + random_structures(rng, s.cases // 10 + 1),
-        ),
-        _restriction_composition_check,
+# Each suite, from the shared corpora and its own generator to
+# ``(cases, failures)``.
+SUITES: dict[str, Callable[[_Shared, random.Random], tuple[int, list[str]]]] = {
+    "core-restriction-composition": _restriction_composition_check,
+    "core-reduct-commute": _reduct_commute_check,
+    "companion-axioms": _companion_axioms_check,
+    "pa-restriction-closure": _pa_restriction_check,
+    "pa-reversal-chains": _pa_reversal_check,
+    "iso-canonical-agree": _iso_canonical_check,
+    "reduction-oracle": _reduction_oracle_check,
+    "chain-reversal": _witness_reversal_check,
+    "chain-monotonicity": _monotonicity_check,
+    "profile-bound": lambda s, rng: profile_bound_check(
+        s.small + fixture_structures() + random_structures(rng, max(s.cases // 20, 5))
     ),
-    "core-reduct-commute": (
-        lambda s, rng: (
-            rng,
-            random_structures(rng, max(s.cases // 5, 20), sizes=(3, 4, 5), symbols=(2,)),
-        ),
-        _reduct_commute_check,
+    "trace-isomorphism": lambda s, rng: trace_check(s.sweep.chainable + _fixture_witnesses()),
+    "age-transfer": _age_transfer_check,
+    "definability-roundtrip": _definability_roundtrip_check,
+    "star-translation": lambda s, rng: star_translation_check(
+        rng.getrandbits(32), max(s.cases, 300)
     ),
-    "companion-axioms": (lambda s, rng: (rng, max(s.cases, 50)), _companion_axioms_check),
-    "pa-restriction-closure": (
-        lambda s, rng: (fixture_structures() + random_structures(rng, max(s.cases // 20, 5)),),
-        _pa_restriction_check,
+    "quotient-translation": _quotient_check,
+    "age-sentence": lambda s, rng: age_sentence_check(
+        [y for y in s.small if y.size in (2, 3)]
+        + rng.sample(all_binary_structures(4), min(30, s.cases)),
+        rng,
+        3,
+        0.3,
     ),
-    "pa-reversal-chains": (lambda s, rng: (range(6),), _pa_reversal_check),
-    "iso-canonical-agree": (
-        lambda s, rng: (rng, s.small, random_structures(rng, max(s.cases // 10, 10))),
-        _iso_canonical_check,
-    ),
-    "reduction-oracle": (
-        lambda s, rng: (
-            s.sweep,
-            _sampled_witnesses(
-                rng, random_structures(rng, max(s.cases // 10, 10), arity=(1, 3)), 12
-            ),
-        ),
-        _reduction_check,
-    ),
-    "chain-reversal": (
-        lambda s, rng: (
-            _sampled_witnesses(rng, s.small + random_structures(rng, max(s.cases // 20, 5)), 30),
-        ),
-        _witness_reversal_check,
-    ),
-    "chain-monotonicity": (lambda s, rng: (s.sweep.chainable,), _monotonicity_check),
-    "profile-bound": (
-        lambda s, rng: (
-            s.small + fixture_structures() + random_structures(rng, max(s.cases // 20, 5)),
-        ),
-        profile_bound_check,
-    ),
-    "trace-isomorphism": (lambda s, rng: (s.sweep.chainable + _fixture_witnesses(),), trace_check),
-    "age-transfer": (lambda s, rng: (rng, s.small, max(s.cases * 20, 2000)), _age_transfer_check),
-    "definability-roundtrip": (
-        lambda s, rng: (
-            [(y, w) for y, w in s.sweep.chainable if y.size == 3], rng, max(s.cases, 100)
-        ),
-        _definability_check,
-    ),
-    "star-translation": (
-        lambda s, rng: (rng.getrandbits(32), max(s.cases, 300)),
-        star_translation_check,
-    ),
-    "quotient-translation": (lambda s, rng: (rng, max(s.cases, 200)), _quotient_check),
-    "age-sentence": (
-        lambda s, rng: (
-            [y for y in s.small if y.size in (2, 3)]
-            + rng.sample(all_binary_structures(4), min(30, s.cases)),
-            rng,
-            3,
-            0.3,
-        ),
-        age_sentence_check,
-    ),
-    "literal-type-partition": (
-        lambda s, rng: (_companion_scope(rng, max(s.cases // 5, 20)),),
-        _literal_type_partition_check,
-    ),
-    "family-reversal-closure": (lambda s, rng: s.reversal, _reported),
-    "classification-soundness": (lambda s, rng: (s.reversal[2],), _classification_check),
-    "classification-presentation-invariance": (
-        lambda s, rng: (rng, s.reversal[2]),
-        _presentation_check,
-    ),
-    "monomorphic-chains": (lambda s, rng: (range(3, 8),), monomorphic_check),
-    "named-fixtures": (lambda s, rng: (), _named_fixture_check),
+    "literal-type-partition": _literal_type_partition_check,
+    "family-reversal-closure": lambda s, rng: s.reversal[:2],
+    "classification-soundness": _classification_check,
+    "classification-presentation-invariance": _presentation_check,
+    "monomorphic-chains": lambda s, rng: monomorphic_check(range(3, 8)),
+    "named-fixtures": _named_fixture_check,
 }
 
 def run_suites(
@@ -939,8 +874,8 @@ def run_suites(
         )
     shared = _Shared(seed, cases)
     results = []
-    for name, (scope, check) in SUITES.items():
+    for name, check in SUITES.items():
         if only is None or name == only:
             rng = random.Random(f"{seed}:{name}")
-            results.append(SuiteResult(name, *check(*scope(shared, rng))))
+            results.append(SuiteResult(name, *check(shared, rng)))
     return results

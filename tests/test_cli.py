@@ -58,6 +58,39 @@ class TestExitCodes:
         assert result.returncode == 1
         assert json.loads(result.stdout)["error"] == "domain_error"
 
+    def test_check_chain_on_a_huge_declared_size_is_domain_error(self, tmp_path):
+        # The witness covers two of 10**12 points; it is refused without
+        # listing the domain.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"signature": [{"name": "E", "arity": 2}], "size": 10**12}))
+        result = run_cli("check-chain", "--structure", str(path), "--order", "0,1")
+        assert result.returncode == 1
+        assert result.stderr == ""
+        assert json.loads(result.stdout) == {
+            "detail": "witness does not partition the domain",
+            "error": "domain_error",
+        }
+
+    @pytest.mark.parametrize("assign", ["u=99,v=-3", "u=0,v=5", "u=-1,v=0"])
+    def test_star_eval_assignment_outside_the_domain_is_domain_error(self, tmp_path, assign):
+        path = tmp_path / "c5_frozen0123.json"
+        companion = {"size": 5, "order": [0, 1, 2, 3, 4], "constants": [0, 1, 2, 3]}
+        path.write_text(json.dumps(companion))
+        result = run_cli(
+            "star-eval",
+            "--structure",
+            "c5.json",
+            "--companion",
+            str(path),
+            "--formula",
+            "(rel E u v)",
+            "--assign",
+            assign,
+        )
+        assert result.returncode == 1
+        assert result.stderr == ""
+        assert json.loads(result.stdout)["error"] == "domain_error"
+
     def test_negative_verify_cases_is_domain_error(self):
         result = run_cli("verify", "--cases", "-1")
         assert result.returncode == 1

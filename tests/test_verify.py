@@ -11,6 +11,31 @@ def test_each_suite_alone_matches_the_full_run():
     # alone gives it the same inputs as a full run.
     full = {r.name: r.to_dict() for r in verify.run_suites(seed=5, cases=20)}
     assert list(full) == list(verify.SUITES)
+    # Each suite's inputs, pinned by its case count.
+    assert {name: r["cases"] for name, r in full.items()} == {
+        "core-restriction-composition": 3106,
+        "core-reduct-commute": 400,
+        "companion-axioms": 52,
+        "pa-restriction-closure": 13522,
+        "pa-reversal-chains": 6,
+        "iso-canonical-agree": 5527,
+        "reduction-oracle": 1839,
+        "chain-reversal": 1869,
+        "chain-monotonicity": 972,
+        "profile-bound": 132,
+        "trace-isomorphism": 1784,
+        "age-transfer": 87,
+        "definability-roundtrip": 656,
+        "star-translation": 300,
+        "quotient-translation": 200,
+        "age-sentence": 1010,
+        "literal-type-partition": 156,
+        "family-reversal-closure": 895,
+        "classification-soundness": 524,
+        "classification-presentation-invariance": 524,
+        "monomorphic-chains": 5,
+        "named-fixtures": 7,
+    }
     for name in verify.SUITES:
         assert [r.to_dict() for r in verify.run_suites(only=name, seed=5, cases=20)] == [full[name]]
 
