@@ -30,7 +30,7 @@ _EXPORTS = {
     " check_age_sentence_agreement definition_formula endpoint_sentences"
     " extract_definitions literal_type quotient_translate render_literal_type"
     " star_translate theory_star_sentences verify_definitions",
-    "morphism": "CanonicalForm PartialMap canonical_form enumerate_partial_automorphisms"
+    "morphism": "PartialMap canonical_form enumerate_partial_automorphisms"
     " find_isomorphism is_partial_automorphism substructure_forms",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

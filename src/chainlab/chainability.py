@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import CACHE_SIZE, Companion, Structure, companion_structure, induced_substructure
 from .errors import DomainError, UnsupportedSizeError
-from .morphism import CANONICAL_SIZE_CAP, CanonicalForm, substructure_forms
+from .morphism import CANONICAL_SIZE_CAP, substructure_forms
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,7 +68,6 @@ class ProfileReport:
     """Per-size counts of isomorphism types of induced substructures."""
 
     values: tuple[int, ...]
-    age_forms: tuple[tuple[CanonicalForm, ...], ...]
 
     def to_dict(self) -> dict:
         return {"values": list(self.values)}
@@ -228,8 +227,7 @@ def profile(y: Structure, up_to: int) -> ProfileReport:
             f"profile up_to={up_to} exceeds min(size, {CANONICAL_SIZE_CAP}) = "
             f"{min(y.size, CANONICAL_SIZE_CAP)}"
         )
-    forms_per_n = tuple(tuple(sorted(age_forms(y, n))) for n in range(1, up_to + 1))
-    return ProfileReport(tuple(len(forms) for forms in forms_per_n), forms_per_n)
+    return ProfileReport(tuple(len(age_forms(y, n)) for n in range(1, up_to + 1)))
 
 
 def _check_age_size(y: Structure, n: int) -> None:
@@ -241,7 +239,7 @@ def _check_age_size(y: Structure, n: int) -> None:
         )
 
 
-def age_forms(y: Structure, n: int) -> frozenset[CanonicalForm]:
+def age_forms(y: Structure, n: int) -> frozenset[bytes]:
     """Canonical forms of all n-element induced substructures."""
     _check_age_size(y, n)
     return frozenset(substructure_forms(y, n).values())
@@ -251,7 +249,7 @@ def age_representatives(y: Structure, n: int) -> tuple[Structure, ...]:
     """One induced n-element substructure per isomorphism type, ordered by
     canonical form.  Suitable as a family for age sentences."""
     _check_age_size(y, n)
-    first: dict[CanonicalForm, tuple[int, ...]] = {}
+    first: dict[bytes, tuple[int, ...]] = {}
     for h, form in substructure_forms(y, n).items():
         first.setdefault(form, h)
     return tuple(induced_substructure(y, first[form]) for form in sorted(first))
@@ -271,7 +269,7 @@ def check_trace_isomorphism(y: Structure, w: ChainWitness, n: int) -> bool:
         raise DomainError("witness does not chain the structure")
     if not (1 <= n <= y.size):
         raise DomainError(f"subset size {n} out of range")
-    by_trace: dict[frozenset[int], CanonicalForm] = {}
+    by_trace: dict[frozenset[int], bytes] = {}
     for h, form in substructure_forms(y, n).items():
         if by_trace.setdefault(frozenset(h) & w.f_set, form) != form:
             return False

@@ -49,10 +49,7 @@ class Signature:
         return tuple(name for name, _ in self.symbols)
 
     def arity(self, name: str) -> int:
-        for sym, ar in self.symbols:
-            if sym == name:
-                return ar
-        raise DomainError(f"unknown symbol {name!r}")
+        return self.symbols[self.index(name)][1]
 
     def index(self, name: str) -> int:
         for i, (sym, _) in enumerate(self.symbols):
@@ -100,32 +97,20 @@ class Structure:
 def structure(
     size: int,
     relations: Mapping[str, Iterable[Sequence[int]]],
-    sig: Signature | Iterable[tuple[str, int]] | None = None,
+    sig: Signature | Iterable[tuple[str, int]],
 ) -> Structure:
-    """Convenience constructor.
-
-    Without an explicit signature the symbols are taken from ``relations`` in
-    name-sorted order, each with the arity of its first tuple (a symbol with
-    no tuples needs an explicit signature).
-    """
-    if sig is None:
-        pairs = []
-        for name in sorted(relations):
-            tuples = [tuple(t) for t in relations[name]]
-            if not tuples:
-                raise DomainError(
-                    f"cannot infer arity of empty relation {name!r}; pass a signature"
-                )
-            pairs.append((name, len(tuples[0])))
-        sig = Signature(tuple(pairs))
-    elif not isinstance(sig, Signature):
+    """Convenience constructor: a symbol of ``sig`` missing from
+    ``relations`` is empty, and a relation for a symbol outside ``sig``
+    raises DomainError."""
+    if not isinstance(sig, Signature):
         sig = signature(sig)
     rels = []
     for name, _ in sig.symbols:
         tuples = relations.get(name, ())
         rels.append(frozenset(tuple(int(x) for x in t) for t in tuples))
-    if set(relations) - set(sig.names):
-        raise DomainError(f"relations for unknown symbols: {set(relations) - set(sig.names)}")
+    unknown = sorted(set(relations) - set(sig.names))
+    if unknown:
+        raise DomainError(f"relations for unknown symbols: {unknown}")
     return Structure(sig, size, tuple(rels))
 
 
@@ -231,19 +216,12 @@ def companion_structure(
     """Build the companion whose order is ``f_enum`` followed by
     ``rest_order`` and whose constants are ``f_enum``.
 
-    The two parts must partition {0, ..., m-1}; overlap or coverage failure
-    raises DomainError.
+    The two parts must partition {0, ..., m-1}: a repeat, an overlap or a
+    gap makes the order no permutation, which ``Companion`` refuses with
+    DomainError.
     """
     f_enum = tuple(int(x) for x in f_enum)
-    rest_order = tuple(int(x) for x in rest_order)
-    if len(set(f_enum)) != len(f_enum):
-        raise DomainError("f_enum contains repeats")
-    if set(f_enum) & set(rest_order):
-        raise DomainError("f_enum and rest_order overlap")
-    order = f_enum + rest_order
-    if sorted(order) != list(range(m)):
-        raise DomainError("f_enum and rest_order must cover the domain exactly")
-    return Companion(m, order, f_enum)
+    return Companion(m, f_enum + tuple(int(x) for x in rest_order), f_enum)
 
 
 def validate_companion_axioms(x: Companion) -> tuple[bool, bool, bool, bool]:

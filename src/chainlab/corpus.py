@@ -110,26 +110,26 @@ def chain_structure(m: int, name: str = "lt") -> Structure:
     )
 
 
-def cycle_structure(m: int, name: str = "E") -> Structure:
+def cycle_structure(m: int) -> Structure:
     """The undirected m-cycle: symmetric edge pairs around the ring."""
     edges = set()
     for i in range(m):
         j = (i + 1) % m
         edges.add((i, j))
         edges.add((j, i))
-    return structure(m, {name: sorted(edges)}, [(name, 2)])
+    return structure(m, {"E": sorted(edges)}, [("E", 2)])
 
 
-def path_structure(m: int, name: str = "E") -> Structure:
+def path_structure(m: int) -> Structure:
     """The undirected path 0 - 1 - ... - m-1."""
     edges = set()
     for i in range(m - 1):
         edges.add((i, i + 1))
         edges.add((i + 1, i))
-    return structure(m, {name: sorted(edges)}, [(name, 2)])
+    return structure(m, {"E": sorted(edges)}, [("E", 2)])
 
 
-def cyclic_order_structure(m: int, name: str = "C") -> Structure:
+def cyclic_order_structure(m: int) -> Structure:
     """The cyclic order of m points on a circle: the ternary relation of
     distinct triples read clockwise."""
     triples = [
@@ -139,20 +139,20 @@ def cyclic_order_structure(m: int, name: str = "C") -> Structure:
         for c in range(m)
         if len({a, b, c}) == 3 and (b - a) % m < (c - a) % m
     ]
-    return structure(m, {name: triples}, [(name, 3)])
+    return structure(m, {"C": triples}, [("C", 3)])
 
 
-def pentagon_cyclic_order(name: str = "C") -> Structure:
-    return cyclic_order_structure(5, name)
+def pentagon_cyclic_order() -> Structure:
+    return cyclic_order_structure(5)
 
 
-def unary_structure(m: int, marked, name: str = "U") -> Structure:
-    """A pure set with one unary predicate holding on ``marked``."""
-    return structure(m, {name: [(x,) for x in sorted(set(marked))]}, [(name, 1)])
+def unary_structure(m: int, marked) -> Structure:
+    """A pure set with one unary predicate U holding on ``marked``."""
+    return structure(m, {"U": [(x,) for x in sorted(set(marked))]}, [("U", 1)])
 
 
-def empty_relation_structure(m: int, name: str = "E", arity: int = 2) -> Structure:
-    return structure(m, {name: []}, [(name, arity)])
+def empty_relation_structure(m: int) -> Structure:
+    return structure(m, {}, [("E", 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +189,9 @@ def binary_masks_up_to_iso(m: int) -> tuple[int, ...]:
     return tuple(reps)
 
 
-def structure_from_mask(m: int, mask: int, name: str = "E") -> Structure:
+def structure_from_mask(m: int, mask: int) -> Structure:
     tuples = [(s // m, s % m) for s in range(m * m) if (mask >> s) & 1]
-    return structure(m, {name: tuples}, [(name, 2)])
+    return structure(m, {"E": tuples}, [("E", 2)])
 
 
 def all_binary_structures(m: int) -> list[Structure]:

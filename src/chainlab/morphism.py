@@ -5,7 +5,9 @@ injective partial map on the domain that preserves every relation in both
 directions on the tuples it can see.  Isomorphism search and partial
 automorphisms are exhaustive.  Canonical forms are exact, found by branch and
 bound over ordered partitions, for structures of bounded size; the
-exhaustive scan they replace is ``verify.canonical_form_full``.
+exhaustive scan they replace is ``verify.canonical_form_full``.  A form is the
+UTF-8 bytes of ``repr((size, symbols, relations))``, the relations being the
+least relabeled ones, so forms compare, hash and ``.hex()`` as ``bytes``.
 """
 
 from __future__ import annotations
@@ -41,24 +43,6 @@ class PartialMap:
     def of(mapping: dict[int, int] | list[tuple[int, int]]) -> "PartialMap":
         items = mapping.items() if isinstance(mapping, dict) else mapping
         return PartialMap(tuple(sorted((int(s), int(t)) for s, t in items)))
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
-@dataclass(frozen=True, slots=True, order=True)
-class CanonicalForm:
-    """A total-order-comparable encoding of an isomorphism class.
-
-    Equal size and signature plus equal form is equivalent to isomorphism;
-    the encoding also folds in size and signature so forms from different
-    shapes never collide.
-    """
-
-    data: bytes
-
-    def hex(self) -> str:
-        return self.data.hex()
 
 
 def _preserves(y: Structure, mapping: dict[int, int]) -> bool:
@@ -134,7 +118,7 @@ def find_isomorphism(a: Structure, b: Structure) -> PartialMap | None:
     return None
 
 
-def canonical_form(y: Structure) -> CanonicalForm:
+def canonical_form(y: Structure) -> bytes:
     """The least, over all relabelings of the domain, of the relabeled
     relations (each a sorted tuple list, in signature order), encoded with the
     size and the signature.
@@ -180,14 +164,14 @@ def _cache_key(y: Structure, hs: Sequence[int]) -> tuple:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _canonical_form_cached(sig: Signature, n: int, key: tuple) -> CanonicalForm:
+def _canonical_form_cached(sig: Signature, n: int, key: tuple) -> bytes:
     relations = [
         list(part) if isinstance(part, tuple)
         else [w for i, w in enumerate(words(n, arity)) if part >> i & 1]
         for part, (_, arity) in zip(key, sig.symbols)
     ]
     best = _least_relabeling(sig, n, relations)
-    return CanonicalForm(repr((n, sig.symbols, best)).encode("utf-8"))
+    return repr((n, sig.symbols, best)).encode("utf-8")
 
 
 def _least_relabeling(
@@ -316,7 +300,7 @@ def _least_relabeling(
     return tuple(tuple(sorted(tuple(map(best_labeling.index, t)) for t in ts)) for ts in relations)
 
 
-def substructure_forms(y: Structure, n: int) -> dict[tuple[int, ...], CanonicalForm]:
+def substructure_forms(y: Structure, n: int) -> dict[tuple[int, ...], bytes]:
     """The canonical form of every n-element induced substructure, keyed by
     the subset, in ``itertools.combinations`` order: the isomorphism type of
     each n-subset, shared by profiles, ages and trace checks.  Each type is

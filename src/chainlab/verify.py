@@ -85,7 +85,6 @@ from .logic import (
 )
 from .morphism import (
     CANONICAL_SIZE_CAP,
-    CanonicalForm,
     PartialMap,
     _preserves,
     canonical_form,
@@ -157,7 +156,7 @@ def chainable_full(y: Structure, w: ChainWitness) -> bool:
     return True
 
 
-def canonical_form_full(y: Structure) -> CanonicalForm:
+def canonical_form_full(y: Structure) -> bytes:
     """The canonical form by scanning all size! relabelings: the oracle for
     the branch and bound of ``morphism.canonical_form``, with which it shares
     only the encoding.  Uncapped and uncached."""
@@ -169,8 +168,7 @@ def canonical_form_full(y: Structure) -> CanonicalForm:
         )
         if best is None or relabeled < best:
             best = relabeled
-    encoded = repr((y.size, y.sig.symbols, best)).encode("utf-8")
-    return CanonicalForm(encoded)
+    return repr((y.size, y.sig.symbols, best)).encode("utf-8")
 
 
 def random_companion(rng: random.Random, m: int, k: int) -> Companion:

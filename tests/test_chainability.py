@@ -273,8 +273,9 @@ class TestProfile:
         assert profile(c5, 0).values == ()
 
     def test_counts_match_forms(self, c5):
-        report = profile(c5, 5)
-        assert all(len(forms) == v for forms, v in zip(report.age_forms, report.values))
+        for y in (c5, corpus.cycle_structure(8)):
+            values = profile(y, y.size).values
+            assert values == tuple(len(age_forms(y, n)) for n in range(1, y.size + 1))
 
 
 class TestProfileBound:

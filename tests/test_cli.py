@@ -35,6 +35,16 @@ SUITE_NAMES = [
 ]
 
 
+@pytest.fixture
+def unknown_symbols_file(tmp_path):
+    """A structure file over the signature {E} with relations for A to D."""
+    path = tmp_path / "unknown_symbols.json"
+    doc = {"signature": [{"name": "E", "arity": 2}], "size": 3}
+    doc["relations"] = {name: [[0, 1]] for name in "ABCD"}
+    path.write_text(json.dumps(doc))
+    return path
+
+
 class TestExitCodes:
     def test_success_is_zero(self):
         result = run_cli("check-chain", "--structure", "chain5.json", "--order", "0,1,2,3,4")
@@ -90,6 +100,16 @@ class TestExitCodes:
         assert result.returncode == 1
         assert result.stderr == ""
         assert json.loads(result.stdout)["error"] == "domain_error"
+
+    @pytest.mark.parametrize("hash_seed", ["1", "6"])
+    def test_unknown_symbols_are_listed_sorted(self, unknown_symbols_file, hash_seed):
+        result = run_cli("find-order", "--structure", str(unknown_symbols_file), hash_seed=hash_seed)
+        assert result.returncode == 1
+        assert result.stderr == ""
+        assert json.loads(result.stdout) == {
+            "detail": "relations for unknown symbols: ['A', 'B', 'C', 'D']",
+            "error": "domain_error",
+        }
 
     def test_negative_verify_cases_is_domain_error(self):
         result = run_cli("verify", "--cases", "-1")
@@ -260,11 +280,14 @@ class TestGoldenOutputs:
         profile_doc = json.loads((GOLDEN / "profile_c5.golden").read_text())
         assert profile_doc == {"values": [1, 2, 2, 1, 1]}
 
-    def test_repeated_runs_are_byte_identical(self):
-        first = run_cli("kernel", "--structure", "c5.json")
-        second = run_cli("kernel", "--structure", "c5.json")
-        assert first.returncode == 0 and second.returncode == 0
-        assert first.stdout == second.stdout
+    def test_repeated_runs_are_byte_identical(self, unknown_symbols_file):
+        # Two fixed hash seeds, so that an output hanging on set or dict
+        # order of strings fails every run rather than most.
+        for path, code in (("c5.json", 0), (str(unknown_symbols_file), 1)):
+            first = run_cli("kernel", "--structure", path, hash_seed="1")
+            second = run_cli("kernel", "--structure", path, hash_seed="6")
+            assert first.returncode == second.returncode == code
+            assert first.stdout == second.stdout
 
 
 class TestVerbs:

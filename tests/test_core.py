@@ -155,6 +155,10 @@ class TestCompanion:
         assert x.order == (1, 0, 3, 2)
         assert x.constants == (1, 0)
 
+    def test_repeated_constant_rejected(self):
+        with pytest.raises(DomainError):
+            companion_structure(3, (0, 0), (1, 2))
+
     def test_overlap_rejected(self):
         with pytest.raises(DomainError):
             companion_structure(3, (0,), (0, 1, 2))

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import random
 import time
@@ -245,7 +246,7 @@ class TestCanonicalForm:
             "K44": [(a, b) for a, b in pairs if (a < 4) != (b < 4)],
         }
         if name == "empty3":
-            y = corpus.empty_relation_structure(8, arity=3)
+            y = structure(8, {"E": []}, [("E", 3)])
         elif name == "cyclic":
             y = corpus.cyclic_order_structure(8)
         else:
@@ -265,4 +266,6 @@ class TestCanonicalForm:
 
     def test_hex_serialization(self, c5):
         form = canonical_form(c5)
-        assert bytes.fromhex(form.hex()) == form.data
+        assert bytes.fromhex(form.hex()) == form
+        size, symbols, (edges,) = ast.literal_eval(form.decode("utf-8"))
+        assert (size, symbols, len(edges)) == (5, (("E", 2),), 10)
