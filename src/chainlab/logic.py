@@ -248,12 +248,10 @@ def apply_definitions(
                     f"definition of {name!r} was built for {t.num_constants} "
                     f"constants, companion has {len(x.constants)}"
                 )
+        # Copying a set gives the frozenset a table sized to fit; one built
+        # from a generator keeps its growth slack, up to twice the memory.
         relations.append(
-            frozenset(
-                point
-                for point in words(x.size, arity)
-                if literal_type(x, point) in types
-            )
+            frozenset({point for point in words(x.size, arity) if literal_type(x, point) in types})
         )
     return Structure(sig, x.size, tuple(relations))
 

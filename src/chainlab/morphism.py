@@ -8,11 +8,15 @@ bound over ordered partitions, for structures of bounded size; the
 exhaustive scan they replace is ``verify.canonical_form_full``.  A form is the
 UTF-8 bytes of ``repr((size, symbols, relations))``, the relations being the
 least relabeled ones, so forms compare, hash and ``.hex()`` as ``bytes``.
+Forms are cached by a key read off the structure; the subsets of one
+structure are keyed in an isomorphism-invariant element order, so isomorphic
+subsets mostly share one entry.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -21,6 +25,8 @@ from .core import CACHE_SIZE, SHARED_WORDS_CAP, Signature, Structure, words
 from .errors import DomainError, UnsupportedSizeError
 
 CANONICAL_SIZE_CAP = 8
+# Most n-subsets one substructure_forms call keys (math.comb(size, n)).
+SUBSET_BUDGET = 10**6
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,22 +151,67 @@ _POWERS = [1 << i for i in range(SHARED_WORDS_CAP)]
 
 def _cache_key(y: Structure, hs: Sequence[int]) -> tuple:
     """The canonical-form cache key, without its signature, of the
-    substructure of ``y`` induced on the ascending elements ``hs`` (relabeled
-    onto range(len(hs))), read off ``y``.  One entry per relation: a bit mask
-    over the words in lex order (bit i: the i-th word is a member; the
-    ascending product of ``hs`` lists the words' images in that order), or,
-    past SHARED_WORDS_CAP words, the sorted relabeled members.  The cache
+    substructure of ``y`` induced on the elements ``hs``, relabeled onto
+    range(len(hs)) in the order given, read off ``y``.  One entry per
+    relation: a bit mask over the words in lex order (bit i: the i-th word is
+    a member; the product of ``hs`` lists the words' images in that order),
+    or, past SHARED_WORDS_CAP words, the sorted relabeled members.  The cache
     thus pins no structure."""
-    key = []
-    for (_, arity), tuples in zip(y.sig.symbols, y.relations):
-        if len(hs) ** arity <= SHARED_WORDS_CAP:
-            members = map(tuples.__contains__, itertools.product(hs, repeat=arity))
-            key.append(sum(itertools.compress(_POWERS, members)))
+    return tuple(_key_part(ts, arity, hs) for (_, arity), ts in zip(y.sig.symbols, y.relations))
+
+
+def _key_part(tuples: frozenset, arity: int, hs: Sequence[int]) -> int | tuple:
+    if len(hs) ** arity <= SHARED_WORDS_CAP:
+        members = map(tuples.__contains__, itertools.product(hs, repeat=arity))
+        return sum(itertools.compress(_POWERS, members))
+    label = {e: i for i, e in enumerate(hs)}.__getitem__
+    inside = set(hs).issuperset
+    return tuple(sorted(tuple(map(label, t)) for t in tuples if inside(t)))
+
+
+@lru_cache(maxsize=64)
+def _position_masks(n: int, arity: int) -> list[list[int]]:
+    """Per argument position p and label j < n, the bit mask (as in
+    ``_cache_key``) of the words of range(n) ** arity with j at p."""
+    masks = [[0] * n for _ in range(arity)]
+    for i, w in enumerate(words(n, arity)):
+        for p, x in enumerate(w):
+            masks[p][x] |= 1 << i
+    return masks
+
+
+def _invariant_key(y: Structure, hs: Sequence[int], key: tuple) -> tuple:
+    """The cache key of ``hs`` listed by descending count of member tuples
+    holding each element, per relation and argument position; ties keep the
+    order of ``hs``.  ``key`` is ``_cache_key(y, hs)``.
+
+    Any order gives an isomorphic copy, so the same form; counts do not
+    change under relabeling, so isomorphic subsets mostly share this key.
+    The counts come from the members (bit counts of a mask), never from a
+    scan of all words, and sorted-member entries are relabeled from ``key``,
+    not re-read off the whole relation."""
+    n = len(hs)
+    columns = []  # per relation and argument position: each label's count
+    for part, (_, arity) in zip(key, y.sig.symbols):
+        if isinstance(part, tuple):
+            for p in range(arity):
+                at = [0] * n
+                for t in part:
+                    at[t[p]] += 1
+                columns.append(at)
         else:
-            label = {e: i for i, e in enumerate(hs)}
-            inside = (t for t in tuples if all(x in label for x in t))
-            key.append(tuple(sorted(tuple(label[x] for x in t) for t in inside)))
-    return tuple(key)
+            columns += ([(part & m).bit_count() for m in ms] for ms in _position_masks(n, arity))
+    order = sorted(range(n), key=lambda j: [c[j] for c in columns], reverse=True)
+    if order == list(range(n)):
+        return key
+    listed = [hs[j] for j in order]
+    label = sorted(range(n), key=order.__getitem__).__getitem__
+    return tuple(
+        tuple(sorted(tuple(map(label, t)) for t in part))
+        if isinstance(part, tuple)
+        else _key_part(tuples, arity, listed)
+        for part, (_, arity), tuples in zip(key, y.sig.symbols, y.relations)
+    )
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -200,7 +251,9 @@ def _least_relabeling(
     word indices (a word's place in lex order), which is comparing the bits of
     the rows not yet read, and only the winner is relabeled.  This is
     individualization and refinement (McKay and Piperno, "Practical graph
-    isomorphism, II", 2014) aimed at the least encoding.
+    isomorphism, II", 2014) aimed at the least encoding.  The order in which
+    ``relations`` lists the elements changes only the search's speed, never
+    its result.
     """
     sets = [frozenset(tuples) for tuples in relations]
     by_prefix: list[dict[tuple[int, ...], int]] = []  # prefix -> bit mask of last elements
@@ -304,14 +357,28 @@ def substructure_forms(y: Structure, n: int) -> dict[tuple[int, ...], bytes]:
     """The canonical form of every n-element induced substructure, keyed by
     the subset, in ``itertools.combinations`` order: the isomorphism type of
     each n-subset, shared by profiles, ages and trace checks.  Each type is
-    read off ``y`` (``_cache_key``); no substructure is built.  Raises
-    DomainError for n < 1 and UnsupportedSizeError for
-    CANONICAL_SIZE_CAP < n <= size; a larger n has no subsets."""
+    read off ``y`` (``_cache_key``); no substructure is built.  The cache is
+    keyed by ``_invariant_key``, so isomorphic subsets mostly share one
+    entry; subsets with one plain key share one lookup.  Raises
+    DomainError for n < 1, and UnsupportedSizeError for
+    CANONICAL_SIZE_CAP < n <= size or for more than SUBSET_BUDGET subsets; a
+    larger n has no subsets."""
     if n < 1:
         raise DomainError(f"substructure size must be positive; got {n}")
-    if n <= y.size:
-        _check_form_size(n)
-    return {
-        h: _canonical_form_cached(y.sig, n, _cache_key(y, h))
-        for h in itertools.combinations(range(y.size), n)
-    }
+    if n > y.size:
+        return {}
+    _check_form_size(n)
+    if math.comb(y.size, n) > SUBSET_BUDGET:
+        raise UnsupportedSizeError(
+            f"substructure forms are capped at {SUBSET_BUDGET} subsets; "
+            f"a domain of size {y.size} has more of size {n}"
+        )
+    by_key: dict[tuple, bytes] = {}  # plain key -> form
+    forms = {}
+    for h in itertools.combinations(range(y.size), n):
+        key = _cache_key(y, h)
+        form = by_key.get(key)
+        if form is None:
+            form = by_key[key] = _canonical_form_cached(y.sig, n, _invariant_key(y, h, key))
+        forms[h] = form
+    return forms

@@ -81,6 +81,24 @@ class TestExitCodes:
             "error": "domain_error",
         }
 
+    @pytest.mark.parametrize("verb, n, within", [("profile", 1, False), ("age", 2, False), ("age", 2, True)])
+    def test_profile_and_age_on_a_huge_declared_size_are_unsupported_size(self, tmp_path, verb, n, within):
+        # 10**12 points have more n-subsets than the subset budget; they are
+        # refused before any is listed.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"signature": [{"name": "E", "arity": 2}], "size": 10**12}))
+        args = [verb, "--structure", str(path)]
+        if verb == "age":
+            args += ["--n", str(n)] + (["--within", str(path)] if within else [])
+        result = run_cli(*args)
+        assert result.returncode == 1
+        assert result.stderr == ""
+        assert json.loads(result.stdout) == {
+            "detail": f"substructure forms are capped at 1000000 subsets; "
+            f"a domain of size 1000000000000 has more of size {n}",
+            "error": "unsupported_size",
+        }
+
     @pytest.mark.parametrize("assign", ["u=99,v=-3", "u=0,v=5", "u=-1,v=0"])
     def test_star_eval_assignment_outside_the_domain_is_domain_error(self, tmp_path, assign):
         path = tmp_path / "c5_frozen0123.json"

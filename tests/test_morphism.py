@@ -1,13 +1,16 @@
 import ast
 import itertools
+import math
 import random
 import time
+from collections import Counter
 
 import pytest
 
 from chainlab import corpus, morphism
-from chainlab.core import induced_substructure, structure
+from chainlab.core import Signature, induced_substructure, structure
 from chainlab.errors import DomainError, UnsupportedSizeError
+from chainlab.logic import apply_definitions
 from chainlab.morphism import (
     PartialMap,
     canonical_form,
@@ -16,7 +19,12 @@ from chainlab.morphism import (
     is_partial_automorphism,
     substructure_forms,
 )
-from chainlab.verify import canonical_form_full, random_structures
+from chainlab.verify import (
+    canonical_form_full,
+    random_companion,
+    random_definition_set,
+    random_structures,
+)
 
 
 def brute_force_partial_automorphisms(y, max_dom):
@@ -188,6 +196,63 @@ class TestCanonicalForm:
                 substructure_forms(corpus.cycle_structure(5), n)
         with pytest.raises(UnsupportedSizeError):
             substructure_forms(corpus.cycle_structure(9), 9)
+
+    def test_isomorphic_subsets_share_one_cache_entry(self):
+        # The induced 3-subsets of C8 are paths, an edge and a point, or
+        # three points: 7 plain keys, 3 forms.  A planted 6-point ternary
+        # structure has 6-12 plain keys per size but at most 4 forms.
+        rng = random.Random(3)
+        sig = Signature((("C", 3),))
+        inputs = [(corpus.cycle_structure(8), 3)]
+        for _ in range(3):
+            x = random_companion(rng, 6, 2)
+            y = apply_definitions(x, random_definition_set(rng, x, sig), sig)
+            inputs += [(y, n) for n in range(1, 7)]
+        for y, n in inputs:
+            morphism._canonical_form_cached.cache_clear()
+            forms = substructure_forms(y, n)
+            distinct = len(set(forms.values()))
+            assert morphism._canonical_form_cached.cache_info().misses == distinct, (y, n)
+        plain_keys = {morphism._cache_key(inputs[0][0], h) for h in itertools.combinations(range(8), 3)}
+        assert len(plain_keys) == 7
+
+    def test_shuffled_copy_has_the_same_subset_forms(self):
+        rng = random.Random(11)
+        inputs = [corpus.cycle_structure(7), corpus.cyclic_order_structure(6)]
+        inputs += random_structures(rng, 4, sizes=(6,), arity=(1, 3))
+        inputs += random_structures(rng, 2, sizes=(5,), arity=(4, 4))  # sorted-member keys
+        for y in inputs:
+            perm = list(range(y.size))
+            rng.shuffle(perm)
+            relations = {
+                name: [tuple(perm[x] for x in t) for t in r] for name, r in zip(y.sig.names, y.relations)
+            }
+            z = structure(y.size, relations, y.sig)
+            for n in range(1, y.size + 1):
+                assert Counter(substructure_forms(z, n).values()) == Counter(
+                    substructure_forms(y, n).values()
+                ), (y, n)
+
+    def test_sparse_nine_ary_subset_forms_are_fast(self):
+        # 8**9 words: the invariant order is counted from the 6 members.  A
+        # scan of all words took about 22 s here; the search takes 0.4-0.7 s.
+        rng = random.Random(1)
+        tuples = {tuple(rng.randrange(8) for _ in range(9)) for _ in range(6)}
+        y = structure(8, {"R": tuples}, [("R", 9)])
+        morphism._canonical_form_cached.cache_clear()
+        start = time.perf_counter()
+        (form,) = substructure_forms(y, 8).values()
+        assert time.perf_counter() - start < 3.0
+        assert form == canonical_form(y)
+
+    def test_subset_budget(self):
+        huge = structure(10**12, {"E": []}, [("E", 2)])
+        with pytest.raises(UnsupportedSizeError, match="capped at 1000000 subsets"):
+            substructure_forms(huge, 1)
+        assert math.comb(20, 10) <= morphism.SUBSET_BUDGET < math.comb(2000, 2)
+        with pytest.raises(UnsupportedSizeError):
+            substructure_forms(structure(2000, {"E": []}, [("E", 2)]), 2)
+        assert substructure_forms(huge, 10**12 + 1) == {}
 
     def test_matches_full_scan(self):
         inputs = [y for m in range(5) for y in corpus.all_binary_structures(m)]
