@@ -151,22 +151,22 @@ _POWERS = [1 << i for i in range(SHARED_WORDS_CAP)]
 
 def _cache_key(y: Structure, hs: Sequence[int]) -> tuple:
     """The canonical-form cache key, without its signature, of the
-    substructure of ``y`` induced on the elements ``hs``, relabeled onto
-    range(len(hs)) in the order given, read off ``y``.  One entry per
-    relation: a bit mask over the words in lex order (bit i: the i-th word is
-    a member; the product of ``hs`` lists the words' images in that order),
-    or, past SHARED_WORDS_CAP words, the sorted relabeled members.  The cache
+    substructure of ``y`` induced on the ascending elements ``hs`` (relabeled
+    onto range(len(hs))), read off ``y``.  One entry per relation: a bit mask
+    over the words in lex order (bit i: the i-th word is a member; the
+    ascending product of ``hs`` lists the words' images in that order), or,
+    past SHARED_WORDS_CAP words, the sorted relabeled members.  The cache
     thus pins no structure."""
-    return tuple(_key_part(ts, arity, hs) for (_, arity), ts in zip(y.sig.symbols, y.relations))
-
-
-def _key_part(tuples: frozenset, arity: int, hs: Sequence[int]) -> int | tuple:
-    if len(hs) ** arity <= SHARED_WORDS_CAP:
-        members = map(tuples.__contains__, itertools.product(hs, repeat=arity))
-        return sum(itertools.compress(_POWERS, members))
-    label = {e: i for i, e in enumerate(hs)}.__getitem__
-    inside = set(hs).issuperset
-    return tuple(sorted(tuple(map(label, t)) for t in tuples if inside(t)))
+    key = []
+    for (_, arity), tuples in zip(y.sig.symbols, y.relations):
+        if len(hs) ** arity <= SHARED_WORDS_CAP:
+            members = map(tuples.__contains__, itertools.product(hs, repeat=arity))
+            key.append(sum(itertools.compress(_POWERS, members)))
+        else:
+            label = {e: i for i, e in enumerate(hs)}.__getitem__
+            inside = set(hs).issuperset
+            key.append(tuple(sorted(tuple(map(label, t)) for t in tuples if inside(t))))
+    return tuple(key)
 
 
 @lru_cache(maxsize=64)
@@ -180,19 +180,17 @@ def _position_masks(n: int, arity: int) -> list[list[int]]:
     return masks
 
 
-def _invariant_key(y: Structure, hs: Sequence[int], key: tuple) -> tuple:
-    """The cache key of ``hs`` listed by descending count of member tuples
-    holding each element, per relation and argument position; ties keep the
-    order of ``hs``.  ``key`` is ``_cache_key(y, hs)``.
+def _invariant_key(sig: Signature, n: int, key: tuple) -> tuple:
+    """``key`` relabeled so that labels come in descending order of the
+    count of member tuples holding them, per relation and argument position;
+    ties keep label order.
 
     Any order gives an isomorphic copy, so the same form; counts do not
-    change under relabeling, so isomorphic subsets mostly share this key.
-    The counts come from the members (bit counts of a mask), never from a
-    scan of all words, and sorted-member entries are relabeled from ``key``,
-    not re-read off the whole relation."""
-    n = len(hs)
+    change under relabeling, so isomorphic subsets mostly get one key.  The
+    counts come from the members (bit counts of a mask), never from a scan
+    of all words."""
     columns = []  # per relation and argument position: each label's count
-    for part, (_, arity) in zip(key, y.sig.symbols):
+    for part, (_, arity) in zip(key, sig.symbols):
         if isinstance(part, tuple):
             for p in range(arity):
                 at = [0] * n
@@ -204,14 +202,26 @@ def _invariant_key(y: Structure, hs: Sequence[int], key: tuple) -> tuple:
     order = sorted(range(n), key=lambda j: [c[j] for c in columns], reverse=True)
     if order == list(range(n)):
         return key
-    listed = [hs[j] for j in order]
     label = sorted(range(n), key=order.__getitem__).__getitem__
-    return tuple(
-        tuple(sorted(tuple(map(label, t)) for t in part))
-        if isinstance(part, tuple)
-        else _key_part(tuples, arity, listed)
-        for part, (_, arity), tuples in zip(key, y.sig.symbols, y.relations)
-    )
+    relabeled = []
+    for part, (_, arity) in zip(key, sig.symbols):
+        if isinstance(part, tuple):
+            relabeled.append(tuple(sorted(tuple(map(label, t)) for t in part)))
+        else:
+            # The i-th word under the new labels is ``old[i]``-th under the old.
+            old = [0]
+            for _ in range(arity):
+                old = [i * n + x for i in old for x in order]
+            bits = format(part, f"0{len(old)}b")[::-1]  # bits[i]: bit i
+            relabeled.append(int("".join(map(bits.__getitem__, old))[::-1], 2))
+    return tuple(relabeled)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _subset_form(sig: Signature, n: int, key: tuple) -> bytes:
+    """The form of the substructure whose plain cache key is ``key``, looked
+    up under ``_invariant_key``."""
+    return _canonical_form_cached(sig, n, _invariant_key(sig, n, key))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -357,12 +367,12 @@ def substructure_forms(y: Structure, n: int) -> dict[tuple[int, ...], bytes]:
     """The canonical form of every n-element induced substructure, keyed by
     the subset, in ``itertools.combinations`` order: the isomorphism type of
     each n-subset, shared by profiles, ages and trace checks.  Each type is
-    read off ``y`` (``_cache_key``); no substructure is built.  The cache is
-    keyed by ``_invariant_key``, so isomorphic subsets mostly share one
-    entry; subsets with one plain key share one lookup.  Raises
-    DomainError for n < 1, and UnsupportedSizeError for
-    CANONICAL_SIZE_CAP < n <= size or for more than SUBSET_BUDGET subsets; a
-    larger n has no subsets."""
+    read off ``y`` (``_cache_key``); no substructure is built.  Forms are
+    cached under ``_invariant_key``, so isomorphic subsets mostly share one
+    entry, behind a cache of plain keys, so a repeated subset is not
+    relabeled again.  Raises DomainError for n < 1, and UnsupportedSizeError
+    for CANONICAL_SIZE_CAP < n <= size or for more than SUBSET_BUDGET
+    subsets; a larger n has no subsets."""
     if n < 1:
         raise DomainError(f"substructure size must be positive; got {n}")
     if n > y.size:
@@ -373,12 +383,7 @@ def substructure_forms(y: Structure, n: int) -> dict[tuple[int, ...], bytes]:
             f"substructure forms are capped at {SUBSET_BUDGET} subsets; "
             f"a domain of size {y.size} has more of size {n}"
         )
-    by_key: dict[tuple, bytes] = {}  # plain key -> form
-    forms = {}
-    for h in itertools.combinations(range(y.size), n):
-        key = _cache_key(y, h)
-        form = by_key.get(key)
-        if form is None:
-            form = by_key[key] = _canonical_form_cached(y.sig, n, _invariant_key(y, h, key))
-        forms[h] = form
-    return forms
+    return {
+        h: _subset_form(y.sig, n, _cache_key(y, h))
+        for h in itertools.combinations(range(y.size), n)
+    }

@@ -209,6 +209,7 @@ class TestCanonicalForm:
             y = apply_definitions(x, random_definition_set(rng, x, sig), sig)
             inputs += [(y, n) for n in range(1, 7)]
         for y, n in inputs:
+            morphism._subset_form.cache_clear()
             morphism._canonical_form_cached.cache_clear()
             forms = substructure_forms(y, n)
             distinct = len(set(forms.values()))

@@ -52,6 +52,8 @@ w.setup()
 ys = [w.planted(i)[0] for i in range(count)]
 cache = morphism._canonical_form_cached
 cache.cache_clear()
+if hasattr(morphism, "_subset_form"):  # the plain-key cache in front of it
+    morphism._subset_form.cache_clear()
 for y in ys:
     chainability.profile(y, y.size)
 info = cache.cache_info()
