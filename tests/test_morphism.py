@@ -236,7 +236,8 @@ class TestCanonicalForm:
 
     def test_sparse_nine_ary_subset_forms_are_fast(self):
         # 8**9 words: the invariant order is counted from the 6 members.  A
-        # scan of all words took about 22 s here; the search takes 0.4-0.7 s.
+        # scan of all words takes about 22 s on a 2-core Xeon, the search
+        # 0.4-0.7 s.
         rng = random.Random(1)
         tuples = {tuple(rng.randrange(8) for _ in range(9)) for _ in range(6)}
         y = structure(8, {"R": tuples}, [("R", 9)])
