@@ -1,7 +1,7 @@
 """Paired end-to-end benchmark of a parent commit against a change.
 
     python3 tools/bench_pair.py --parent REV [--change REV] --out BENCH_<n>.json
-        [--workload W ...] [--pairs 3] [--seconds 30] [--seed 1] [--profile-structures 400]
+        [--workload W ...] [--seed 1]
 
 Run from the repository root.  Each side is a clean export of its commit's
 files (``git archive`` into a temporary directory, which leaves no worktree
@@ -11,13 +11,15 @@ BENCHMARK.json) it runs
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-on both sides alternately, the parent first in odd pairs and the change first
-in even ones, so a slow spell of the host falls on both sides alike.
+with T the ``run_seconds`` of BENCHMARK.json, on both sides alternately for
+ten pairs, the parent first in odd pairs and the change first in even ones,
+so a slow spell of the host falls on both sides alike.
 
-It also counts the canonical-form cache misses and hits of the planted-search
-profile ops: ``chainability.profile(y, y.size)`` on the first
-``--profile-structures`` planted structures of the seed, from a cleared cache,
-in a fresh process per side.  Counts repeat exactly; seconds do not.
+It also counts the least-relabeling searches of the planted-search profile
+ops: the misses of ``morphism._canonical_form_cached`` over
+``chainability.profile(y, y.size)`` on the first 400 planted structures of the
+seed, every morphism cache cleared first, in a fresh process per side.
+Counts repeat exactly; seconds do not.
 
 The JSON written has ``command``, ``host``, ``parent``, ``change``,
 ``src.lines``, ``profile_cache``, ``workloads`` (every pair's results, keys in
@@ -38,9 +40,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+PAIRS = 10
+PROFILE_STRUCTURES = 400
 
-# Runs in a side's tree: the cache misses and hits of the planted-search
-# profile ops, from a cleared cache.
+# Runs in a side's tree: the misses of the form cache, that is the
+# least-relabeling searches, over the planted-search profile ops.  Whatever
+# caches sit in front of it, a miss there is one search on either side.
 PROFILE_PROBE = """
 import json, sys
 root, seed, count = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
@@ -50,14 +55,12 @@ from chainlab import chainability, morphism
 w = PlantedSearch(seed)
 w.setup()
 ys = [w.planted(i)[0] for i in range(count)]
-cache = morphism._canonical_form_cached
-cache.cache_clear()
-if hasattr(morphism, "_subset_form"):  # the plain-key cache in front of it
-    morphism._subset_form.cache_clear()
+for f in vars(morphism).values():
+    if hasattr(f, "cache_clear"):
+        f.cache_clear()
 for y in ys:
     chainability.profile(y, y.size)
-info = cache.cache_info()
-print(json.dumps({"misses": info.misses, "hits": info.hits}))
+print(json.dumps({"misses": morphism._canonical_form_cached.cache_info().misses}))
 """
 
 
@@ -87,7 +90,11 @@ def host() -> str:
                 break
     except OSError:
         pass
-    return f"{os.cpu_count()}-core {platform.system()} host ({model}), Python {platform.python_version()}"
+    bytecode = "off" if sys.flags.dont_write_bytecode else "on"
+    return (
+        f"{os.cpu_count()}-core {platform.system()} host ({model}), Python {platform.python_version()}, "
+        f"bytecode writing {bytecode}"
+    )
 
 
 def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -120,12 +127,10 @@ def main() -> None:
     parser.add_argument("--change", default=None, help="commit to measure (default: this checkout as it stands)")
     parser.add_argument("--out", required=True, type=Path, help="JSON file to write")
     parser.add_argument("--workload", action="append", choices=[w["name"] for w in spec["workloads"]])
-    parser.add_argument("--pairs", type=int, default=3)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--profile-structures", type=int, default=400, help="0 skips the cache count")
     args = parser.parse_args()
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
 
     parent_rev = git("rev-parse", "--short", args.parent)
     change_rev = git("rev-parse", "--short", args.change) if args.change else "working tree"
@@ -135,27 +140,27 @@ def main() -> None:
             "change": export(args.change, Path(tmp) / "change") if args.change else ROOT,
         }
         doc = {
-            "command": f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {args.seconds:g} --trace 0",
+            "command": f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {seconds} --trace 0",
             "host": f"{host()}; parent and change run alternately, the first side swapping each pair; "
             f"seed {args.seed} on every pair",
             "parent": parent_rev,
             "change": change_rev,
             "src.lines": {side: src_lines(roots[side]) for side in SIDES},
         }
-        if args.profile_structures:
-            doc["profile_cache"] = {
-                "what": f"canonical-form cache misses and hits of profile(y, |y|) on the first "
-                f"{args.profile_structures} planted-search structures, seed {args.seed}, from a cleared cache",
-                **{side: profile_cache(roots[side], args.seed, args.profile_structures) for side in SIDES},
-            }
-            print(f"profile cache: {doc['profile_cache']}", file=sys.stderr)
+        doc["profile_cache"] = {
+            "what": f"least-relabeling searches (misses of morphism._canonical_form_cached) of "
+            f"profile(y, |y|) on the first {PROFILE_STRUCTURES} planted-search structures, seed {args.seed}, "
+            f"every morphism cache cleared first",
+            **{side: profile_cache(roots[side], args.seed, PROFILE_STRUCTURES) for side in SIDES},
+        }
+        print(f"profile cache: {doc['profile_cache']}", file=sys.stderr)
         doc["workloads"] = {}
         for workload in workloads:
             pairs = []
-            for i in range(1, args.pairs + 1):
+            for i in range(1, PAIRS + 1):
                 pair: dict = {"pair": i, "seed": args.seed}
                 for side in SIDES if i % 2 else SIDES[::-1]:
-                    pair[side] = run_side(roots[side], workload, args.seed, args.seconds)
+                    pair[side] = run_side(roots[side], workload, args.seed, seconds)
                     ops = pair[side]["metrics"]["ops_per_s"]["value"]
                     print(f"{workload} pair {i} {side}: ops_per_s {ops:.2f}", file=sys.stderr)
                 pairs.append(pair)
