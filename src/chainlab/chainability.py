@@ -26,7 +26,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import CACHE_SIZE, Companion, Structure, companion_structure, induced_substructure
 from .errors import DomainError, UnsupportedSizeError
-from .morphism import CANONICAL_SIZE_CAP, substructure_forms
+
+# ``morphism`` is imported by the functions that compute forms, so a process
+# that computes none (a CLI verb such as kernel or find-order) never loads it.
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,6 +222,8 @@ def witness_companion(w: ChainWitness) -> Companion:
 def profile(y: Structure, up_to: int) -> ProfileReport:
     """Isomorphism-type counts of n-element induced substructures for
     n = 1..up_to.  Bounded by the canonical-form regime (size <= 8)."""
+    from .morphism import CANONICAL_SIZE_CAP
+
     if up_to < 0:
         raise DomainError("up_to must be non-negative")
     if up_to > min(y.size, CANONICAL_SIZE_CAP):
@@ -231,6 +235,8 @@ def profile(y: Structure, up_to: int) -> ProfileReport:
 
 
 def _check_age_size(y: Structure, n: int) -> None:
+    from .morphism import CANONICAL_SIZE_CAP
+
     if not (1 <= n <= y.size):
         raise DomainError(f"age size {n} out of range for domain of size {y.size}")
     if n > CANONICAL_SIZE_CAP:
@@ -241,6 +247,8 @@ def _check_age_size(y: Structure, n: int) -> None:
 
 def age_forms(y: Structure, n: int) -> frozenset[bytes]:
     """Canonical forms of all n-element induced substructures."""
+    from .morphism import substructure_forms
+
     _check_age_size(y, n)
     return frozenset(substructure_forms(y, n).values())
 
@@ -248,6 +256,8 @@ def age_forms(y: Structure, n: int) -> frozenset[bytes]:
 def age_representatives(y: Structure, n: int) -> tuple[Structure, ...]:
     """One induced n-element substructure per isomorphism type, ordered by
     canonical form.  Suitable as a family for age sentences."""
+    from .morphism import substructure_forms
+
     _check_age_size(y, n)
     first: dict[bytes, tuple[int, ...]] = {}
     for h, form in substructure_forms(y, n).items():
@@ -265,6 +275,8 @@ def check_trace_isomorphism(y: Structure, w: ChainWitness, n: int) -> bool:
     """For a chainable witness, n-subsets with the same trace on the frozen
     set must induce isomorphic substructures.  Returns the check's outcome;
     a non-chainable witness is a precondition violation and raises."""
+    from .morphism import substructure_forms
+
     if not is_chainable_with(y, w):
         raise DomainError("witness does not chain the structure")
     if not (1 <= n <= y.size):

@@ -44,7 +44,8 @@ from .formulas import (
     map_atoms,
     or_all,
 )
-from .morphism import canonical_form, substructure_forms
+
+# ``morphism`` is imported where forms are compared, as in ``chainability``.
 
 AGE_SENTENCE_SIZE_CAP = 6
 
@@ -315,6 +316,8 @@ def _match_formula(k: Structure, keep: Sequence[str], variables: list[str]) -> F
 
 
 def _validate_family(family: Sequence[Structure], keep: Iterable[str]) -> tuple[int, list[str]]:
+    from .morphism import canonical_form
+
     if not family:
         raise DomainError("age sentence needs a non-empty family")
     n = family[0].size
@@ -374,6 +377,8 @@ def check_age_sentence_agreement(
     """Compare the sentence evaluator against the direct semantic check
     (set equality of canonical forms of kept-symbol substructure types).
     Any False is a construction bug, not a property of the inputs."""
+    from .morphism import canonical_form, substructure_forms
+
     n, keep_list = _validate_family(family, keep)
     if y.sig != family[0].sig:
         raise DomainError("structure under test must share the family signature")

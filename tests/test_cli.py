@@ -440,8 +440,10 @@ class TestFormulaFixture:
 
 
 # The chainlab modules a verb loads beyond cli, core and errors.
-SEARCH_MODULES = {"morphism", "chainability"}
-LOGIC_MODULES = {"formulas", "logic", "morphism"}
+# Only verbs that compute canonical forms load morphism.
+SEARCH_MODULES = {"chainability"}
+FORM_MODULES = {"chainability", "morphism"}
+LOGIC_MODULES = {"formulas", "logic"}
 
 
 class TestImports:
@@ -478,10 +480,10 @@ class TestImports:
         "args, extra",
         [
             (["kernel", "--structure", "c5.json"], SEARCH_MODULES),
-            (["profile", "--structure", "c5.json"], SEARCH_MODULES),
+            (["profile", "--structure", "c5.json"], FORM_MODULES),
             (["check-chain", "--structure", "chain5.json", "--order", "0,1,2,3,4"], SEARCH_MODULES),
             (["find-order", "--structure", "c5.json", "--f", "0"], SEARCH_MODULES),
-            (["age", "--structure", "c4.json", "--n", "2", "--within", "c5.json"], SEARCH_MODULES),
+            (["age", "--structure", "c4.json", "--n", "2", "--within", "c5.json"], FORM_MODULES),
             (["classify-orders", "--structure", "pentagon.json"], SEARCH_MODULES | {"gpw"}),
             (["define", "--structure", "chain5.json", "--companion", "natural5"], LOGIC_MODULES),
             (
@@ -492,7 +494,7 @@ class TestImports:
             (
                 ["age-sentence", "--family", "edge_pair.json,empty_pair.json", "--keep", "E"]
                 + ["--eval-on", "c5.json"],
-                LOGIC_MODULES,
+                LOGIC_MODULES | {"morphism"},
             ),
             (["gen", "--seed", "1", "--size", "4"], {"corpus"}),
         ],
