@@ -8,23 +8,23 @@ Both the decision ``is_chainable_with`` and the search ``iter_chain_orders``
 (behind ``find_chain_order``, ``kernel`` and
 ``gpw.enumerate_chaining_orders``) test type purity: an order chains the
 structure exactly when, for each j up to the largest arity, all its j-subsets
-have one quantifier-free type over F (Fraisse; Frasnay).  They share one
-purity step, ``_extends_purely``, over one table of types,
-``_subset_types``: a decided order is chainable exactly when it is a path of
-the search.  The search also gives up on a complement of several 1-types
-and on a prefix some remaining element cannot extend; it lists the same
-orders, lexicographically, with no cap.  verify.py checks the decision
-against the full map oracle, which shares no code with it.
+have one quantifier-free type over F (Fraisse; Frasnay), read by
+``core._subset_key`` as canonical-form keys are.  They share one purity step,
+``_extends_purely``, over one table of types, ``_subset_types``: a decided
+order is chainable exactly when it is a path of the search.  The search also
+gives up on a complement of several 1-types and on a prefix some remaining
+element cannot extend; it lists the same orders, lexicographically, with no
+cap.  verify.py checks the decision against the full map oracle, which shares
+no code with it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import CACHE_SIZE, Companion, Structure, companion_structure, induced_substructure
+from .core import Companion, Structure, _subset_key, companion_structure, induced_substructure
 from .errors import DomainError, UnsupportedSizeError
 
 # ``morphism`` is imported by the functions that compute forms, so a process
@@ -83,30 +83,23 @@ def _validate_witness(y: Structure, w: ChainWitness) -> None:
         raise DomainError("witness does not partition the domain")
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _type_words(arities: tuple[int, ...], n: int, j: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(symbol index, index word into n frozen then j chosen elements) for
-    every arity-length word that uses all j chosen elements."""
-    return tuple(
-        (s, w)
-        for s, ar in enumerate(arities)
-        for w in itertools.product(range(n + j), repeat=ar)
-        if len(set(w) - set(range(n))) == j
-    )
-
-
 def _subset_types(y: Structure, fixed: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple]:
     """The memoised type over ``fixed`` of a tuple of non-frozen elements:
-    the memberships of every arity-length word over ``fixed`` and those
-    elements that uses all of them."""
-    arities = tuple(ar for _, ar in y.sig.symbols)
-    types: dict[tuple[int, ...], tuple[bool, ...]] = {}
+    ``core._subset_key`` of ``fixed`` followed by the tuple.
 
-    def type_of(els: tuple[int, ...]) -> tuple[bool, ...]:
+    The key holds every word over these elements, not only those that use
+    all chosen ones, and still decides purity as those would.  A word using
+    some chosen elements is a word of the sub-tuple they form; words over F
+    alone are the same for every tuple.  ``_extends_purely`` checks j = 1, 2,
+    ... in order, on prefixes themselves built purely (by the search, or by
+    the decision's in-order ``all``), so at level j every shorter sub-tuple
+    of either side already has the type of as many first prefix elements,
+    and two keys can differ only on words that use all j chosen elements."""
+    types: dict[tuple[int, ...], tuple] = {}
+
+    def type_of(els: tuple[int, ...]) -> tuple:
         if els not in types:
-            vals, rels = fixed + els, y.relations
-            words = _type_words(arities, len(fixed), len(els))
-            types[els] = tuple(tuple(vals[i] for i in w) in rels[s] for s, w in words)
+            types[els] = _subset_key(y, fixed + els)
         return types[els]
 
     return type_of

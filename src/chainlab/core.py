@@ -120,7 +120,9 @@ def structure(
 
 # Word tables of at most this many words are built once and shared, so that
 # the structures built from them share their tuple objects; larger ones are
-# generated afresh on each call, so no large one is ever held.
+# generated afresh on each call, so no large one is ever held.  The same cap
+# sets a subset key's format (``_subset_key``): a bit mask over at most this
+# many words, else the sorted members.
 SHARED_WORDS_CAP = 512
 
 
@@ -136,6 +138,33 @@ def words(m: int, arity: int) -> Iterable[tuple[int, ...]]:
 @lru_cache(maxsize=64)
 def _shared_words(m: int, arity: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.product(range(m), repeat=arity))
+
+
+# 1 << i for every word position of a bit-mask key.
+_POWERS = [1 << i for i in range(SHARED_WORDS_CAP)]
+
+
+def _subset_key(y: Structure, hs: Sequence[int]) -> tuple:
+    """The quantifier-free type of the distinct elements ``hs``, in the order
+    given: the substructure they induce, with ``hs[i]`` as label i, read off
+    ``y``.  One entry per relation: a bit mask over the label words in lex
+    order (bit i: the i-th word is a member), or, past SHARED_WORDS_CAP
+    words, the sorted relabeled members, read from the words or the members,
+    whichever are fewer.  Chainability types and canonical-form cache keys
+    are both these keys; they pin no structure."""
+    key = []
+    for (_, arity), tuples in zip(y.sig.symbols, y.relations):
+        if len(hs) ** arity <= SHARED_WORDS_CAP:
+            members = map(tuples.__contains__, itertools.product(hs, repeat=arity))
+            key.append(sum(itertools.compress(_POWERS, members)))
+        elif len(hs) ** arity <= len(tuples):
+            members = map(tuples.__contains__, itertools.product(hs, repeat=arity))
+            key.append(tuple(itertools.compress(words(len(hs), arity), members)))
+        else:
+            label = {e: i for i, e in enumerate(hs)}.__getitem__
+            inside = set(hs).issuperset
+            key.append(tuple(sorted(tuple(map(label, t)) for t in tuples if inside(t))))
+    return tuple(key)
 
 
 def induced_substructure(y: Structure, h: Iterable[int]) -> Structure:

@@ -4,13 +4,13 @@ A partial automorphism (also called a local automorphism) is a finite
 injective partial map on the domain that preserves every relation in both
 directions on the tuples it can see.  Isomorphism search and partial
 automorphisms are exhaustive.  Canonical forms are exact, found by branch and
-bound over ordered partitions, for structures of bounded size; the
-exhaustive scan they replace is ``verify.canonical_form_full``.  A form is the
-UTF-8 bytes of ``repr((size, symbols, relations))``, the relations being the
-least relabeled ones, so forms compare, hash and ``.hex()`` as ``bytes``.
-Forms are cached by a key read off the structure; the subsets of one
-structure are keyed in an isomorphism-invariant element order, so isomorphic
-subsets mostly share one entry.
+bound over ordered partitions, for structures of bounded size; the exhaustive
+scan they replace is ``verify.canonical_form_full``.  A form is the UTF-8
+bytes of ``repr((size, symbols, relations))``, the relations being the least
+relabeled ones, so forms compare, hash and ``.hex()`` as ``bytes``.  Forms are
+cached by ``core._subset_key``, the type chainability compares too; a subset's
+elements are keyed in an isomorphism-invariant order, so isomorphic subsets
+mostly share one entry.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from .core import CACHE_SIZE, SHARED_WORDS_CAP, Signature, Structure, words
+from .core import CACHE_SIZE, Signature, Structure, _subset_key, words
 from .errors import DomainError, UnsupportedSizeError
 
 CANONICAL_SIZE_CAP = 8
@@ -135,7 +135,7 @@ def canonical_form(y: Structure) -> bytes:
     UnsupportedSizeError.
     """
     _check_form_size(y.size)
-    return _canonical_form_cached(y.sig, y.size, _cache_key(y, range(y.size)))
+    return _canonical_form_cached(y.sig, y.size, _subset_key(y, range(y.size)))
 
 
 def _check_form_size(n: int) -> None:
@@ -145,34 +145,10 @@ def _check_form_size(n: int) -> None:
         )
 
 
-# 1 << i for every word position of a bit-mask key.
-_POWERS = [1 << i for i in range(SHARED_WORDS_CAP)]
-
-
-def _cache_key(y: Structure, hs: Sequence[int]) -> tuple:
-    """The canonical-form cache key, without its signature, of the
-    substructure of ``y`` induced on the ascending elements ``hs`` (relabeled
-    onto range(len(hs))), read off ``y``.  One entry per relation: a bit mask
-    over the words in lex order (bit i: the i-th word is a member; the
-    ascending product of ``hs`` lists the words' images in that order), or,
-    past SHARED_WORDS_CAP words, the sorted relabeled members.  The cache
-    thus pins no structure."""
-    key = []
-    for (_, arity), tuples in zip(y.sig.symbols, y.relations):
-        if len(hs) ** arity <= SHARED_WORDS_CAP:
-            members = map(tuples.__contains__, itertools.product(hs, repeat=arity))
-            key.append(sum(itertools.compress(_POWERS, members)))
-        else:
-            label = {e: i for i, e in enumerate(hs)}.__getitem__
-            inside = set(hs).issuperset
-            key.append(tuple(sorted(tuple(map(label, t)) for t in tuples if inside(t))))
-    return tuple(key)
-
-
 @lru_cache(maxsize=64)
 def _position_masks(n: int, arity: int) -> list[list[int]]:
     """Per argument position p and label j < n, the bit mask (as in
-    ``_cache_key``) of the words of range(n) ** arity with j at p."""
+    ``_subset_key``) of the words of range(n) ** arity with j at p."""
     masks = [[0] * n for _ in range(arity)]
     for i, w in enumerate(words(n, arity)):
         for p, x in enumerate(w):
@@ -367,7 +343,7 @@ def substructure_forms(y: Structure, n: int) -> dict[tuple[int, ...], bytes]:
     """The canonical form of every n-element induced substructure, keyed by
     the subset, in ``itertools.combinations`` order: the isomorphism type of
     each n-subset, shared by profiles, ages and trace checks.  Each type is
-    read off ``y`` (``_cache_key``); no substructure is built.  Forms are
+    read off ``y`` (``core._subset_key``); no substructure is built.  Forms are
     cached under ``_invariant_key``, so isomorphic subsets mostly share one
     entry, behind a cache of plain keys, so a repeated subset is not
     relabeled again.  Raises DomainError for n < 1, and UnsupportedSizeError
@@ -384,6 +360,6 @@ def substructure_forms(y: Structure, n: int) -> dict[tuple[int, ...], bytes]:
             f"a domain of size {y.size} has more of size {n}"
         )
     return {
-        h: _subset_form(y.sig, n, _cache_key(y, h))
+        h: _subset_form(y.sig, n, _subset_key(y, h))
         for h in itertools.combinations(range(y.size), n)
     }

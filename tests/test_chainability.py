@@ -3,6 +3,7 @@ import random
 import time
 
 import pytest
+from conftest import five_ary_structures
 
 from chainlab import chainability, corpus
 from chainlab.chainability import (
@@ -83,13 +84,15 @@ class TestIsChainableWith:
         # The cyclic order over the empty set only, where its rotations chain.
         over_empty = [w for w in all_witnesses(6) if not w.f_set]
         cases.append((corpus.cyclic_order_structure(6), over_empty))
+        # Sorted-member subset types: size**arity past SHARED_WORDS_CAP.
+        cases += [(y, all_witnesses(y.size)) for y in five_ary_structures()]
         outcomes = set()
         for y, witnesses in cases:
             for w in witnesses:
                 decision = is_chainable_with(y, w)
                 assert decision == chainable_full(y, w)
                 outcomes.add((y.sig.max_arity(), decision))
-        assert outcomes == {(a, d) for a in (1, 2, 3) for d in (True, False)}
+        assert outcomes == {(a, d) for a in (1, 2, 3, 5) for d in (True, False)}
 
     def test_decides_long_witnesses(self):
         # check-chain takes witnesses of any length; the decision tests

@@ -317,6 +317,24 @@ class TestVerbs:
         result = run_cli("find-order", "--structure", "c5.json", "--f", "0")
         assert json.loads(result.stdout) == {"order": None}
 
+    def test_empty_thirty_ary_relation_answers_at_once(self, tmp_path):
+        # Past SHARED_WORDS_CAP words a subset type is its sorted members, so
+        # no verb lists the 3**30 words of the domain.  The relation is
+        # empty, so every order chains.
+        path = tmp_path / "empty30.json"
+        path.write_text(json.dumps({"signature": [{"name": "R", "arity": 30}], "size": 3}))
+        every_order = [list(p) for p in itertools.permutations(range(3))]
+        outputs = {}
+        for args in (["find-order"], ["check-chain", "--order", "2,0,1"], ["kernel"], ["classify-orders"]):
+            result = run_cli(*args, "--structure", str(path), timeout=30)
+            assert result.returncode == 0, result.stderr
+            outputs[args[0]] = json.loads(result.stdout)
+        assert outputs["find-order"] == {"order": [0, 1, 2]}
+        assert outputs["check-chain"] == {"chainable": True}
+        assert outputs["kernel"]["min_size"] == 0
+        assert outputs["kernel"]["minimal_sets"] == [{"f": [], "order": [0, 1, 2]}]
+        assert outputs["classify-orders"]["orders"] == every_order
+
     def test_age_within_past_cap_is_unsupported_size(self, tmp_path):
         nine = tmp_path / "empty9.json"
         nine.write_text(json.dumps({"signature": [{"name": "E", "arity": 2}], "size": 9}))

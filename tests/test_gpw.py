@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from conftest import five_ary_structures
 
 from chainlab import corpus
 from chainlab.chainability import ChainWitness, find_chain_order, is_chainable_with
@@ -54,7 +55,8 @@ class TestEnumeration:
         # itertools.permutations order.  On the 6-point structures chainable
         # over a planted frozen set, most frozen sets leave a complement of
         # several 1-types, and the rest have prefixes that some remaining
-        # element cannot extend, so both cuts of the search fire.
+        # element cannot extend, so both cuts of the search fire.  The 5-ary
+        # structures have sorted-member subset types.
         sample = random.Random(3).sample(corpus.all_binary_structures(4), 100)
         ternary = [corpus.cyclic_order_structure(5)]
         rng, planted = random.Random(5), []
@@ -62,7 +64,7 @@ class TestEnumeration:
             sig = signature(symbols)
             x = random_companion(rng, 6, k)
             planted.append(apply_definitions(x, random_definition_set(rng, x, sig), sig))
-        for y in corpus.all_binary_structures(3) + sample + ternary + planted:
+        for y in corpus.all_binary_structures(3) + sample + ternary + planted + five_ary_structures():
             for size in range(y.size + 1):
                 for f in itertools.combinations(range(y.size), size):
                     rest = sorted(set(range(y.size)) - set(f))

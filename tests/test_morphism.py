@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from chainlab import corpus, morphism
+from chainlab import core, corpus, morphism
 from chainlab.core import Signature, induced_substructure, structure
 from chainlab.errors import DomainError, UnsupportedSizeError
 from chainlab.logic import apply_definitions
@@ -214,7 +214,7 @@ class TestCanonicalForm:
             forms = substructure_forms(y, n)
             distinct = len(set(forms.values()))
             assert morphism._canonical_form_cached.cache_info().misses == distinct, (y, n)
-        plain_keys = {morphism._cache_key(inputs[0][0], h) for h in itertools.combinations(range(8), 3)}
+        plain_keys = {core._subset_key(inputs[0][0], h) for h in itertools.combinations(range(8), 3)}
         assert len(plain_keys) == 7
 
     def test_shuffled_copy_has_the_same_subset_forms(self):
