@@ -85,7 +85,8 @@ def _validate_witness(y: Structure, w: ChainWitness) -> None:
 
 def _subset_types(y: Structure, fixed: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple]:
     """The memoised type over ``fixed`` of a tuple of non-frozen elements:
-    ``core._subset_key`` of ``fixed`` followed by the tuple.
+    ``core._subset_key(y.sig, y.relations, fixed + els)``, read straight off
+    ``y``'s relations with ``fixed`` followed by the tuple as the labels.
 
     The key holds every word over these elements, not only those that use
     all chosen ones, and still decides purity as those would.  A word using
@@ -99,7 +100,7 @@ def _subset_types(y: Structure, fixed: tuple[int, ...]) -> Callable[[tuple[int, 
 
     def type_of(els: tuple[int, ...]) -> tuple:
         if els not in types:
-            types[els] = _subset_key(y, fixed + els)
+            types[els] = _subset_key(y.sig, y.relations, fixed + els)
         return types[els]
 
     return type_of

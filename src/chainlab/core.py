@@ -144,16 +144,17 @@ def _shared_words(m: int, arity: int) -> tuple[tuple[int, ...], ...]:
 _POWERS = [1 << i for i in range(SHARED_WORDS_CAP)]
 
 
-def _subset_key(y: Structure, hs: Sequence[int]) -> tuple:
+def _subset_key(sig: Signature, relations: Sequence[frozenset], hs: Sequence[int]) -> tuple:
     """The quantifier-free type of the distinct elements ``hs``, in the order
     given: the substructure they induce, with ``hs[i]`` as label i, read off
-    ``y``.  One entry per relation: a bit mask over the label words in lex
-    order (bit i: the i-th word is a member), or, past SHARED_WORDS_CAP
-    words, the sorted relabeled members, read from the words or the members,
-    whichever are fewer.  Chainability types and canonical-form cache keys
-    are both these keys; they pin no structure."""
+    the relations (tuple sets, in ``sig`` order) of a structure.  One entry
+    per relation: a bit mask over the label words in lex order (bit i: the
+    i-th word is a member), or, past SHARED_WORDS_CAP words, the sorted
+    relabeled members, read from the words or the members, whichever are
+    fewer.  Chainability types and canonical-form cache keys are both these
+    keys; they pin no structure."""
     key = []
-    for (_, arity), tuples in zip(y.sig.symbols, y.relations):
+    for (_, arity), tuples in zip(sig.symbols, relations):
         if len(hs) ** arity <= SHARED_WORDS_CAP:
             members = map(tuples.__contains__, itertools.product(hs, repeat=arity))
             key.append(sum(itertools.compress(_POWERS, members)))

@@ -8,9 +8,11 @@ bound over ordered partitions, for structures of bounded size; the exhaustive
 scan they replace is ``verify.canonical_form_full``.  A form is the UTF-8
 bytes of ``repr((size, symbols, relations))``, the relations being the least
 relabeled ones, so forms compare, hash and ``.hex()`` as ``bytes``.  Forms are
-cached by ``core._subset_key``, the type chainability compares too; a subset's
-elements are keyed in an isomorphism-invariant order, so isomorphic subsets
-mostly share one entry.
+cached by ``core._subset_key``, the type chainability compares too, which is
+the only writer of keys; ``_members`` is their only reader here.
+``canonical_form`` and ``substructure_forms`` both key a subset's elements in
+an isomorphism-invariant order (``_subset_form``), so isomorphic subsets and
+relabeled copies mostly share one entry.
 """
 
 from __future__ import annotations
@@ -135,7 +137,7 @@ def canonical_form(y: Structure) -> bytes:
     UnsupportedSizeError.
     """
     _check_form_size(y.size)
-    return _canonical_form_cached(y.sig, y.size, _subset_key(y, range(y.size)))
+    return _subset_form(y.sig, y.size, _subset_key(y.sig, y.relations, range(y.size)))
 
 
 def _check_form_size(n: int) -> None:
@@ -145,69 +147,40 @@ def _check_form_size(n: int) -> None:
         )
 
 
-@lru_cache(maxsize=64)
-def _position_masks(n: int, arity: int) -> list[list[int]]:
-    """Per argument position p and label j < n, the bit mask (as in
-    ``_subset_key``) of the words of range(n) ** arity with j at p."""
-    masks = [[0] * n for _ in range(arity)]
-    for i, w in enumerate(words(n, arity)):
-        for p, x in enumerate(w):
-            masks[p][x] |= 1 << i
-    return masks
-
-
-def _invariant_key(sig: Signature, n: int, key: tuple) -> tuple:
-    """``key`` relabeled so that labels come in descending order of the
-    count of member tuples holding them, per relation and argument position;
-    ties keep label order.
-
-    Any order gives an isomorphic copy, so the same form; counts do not
-    change under relabeling, so isomorphic subsets mostly get one key.  The
-    counts come from the members (bit counts of a mask), never from a scan
-    of all words."""
-    columns = []  # per relation and argument position: each label's count
-    for part, (_, arity) in zip(key, sig.symbols):
-        if isinstance(part, tuple):
-            for p in range(arity):
-                at = [0] * n
-                for t in part:
-                    at[t[p]] += 1
-                columns.append(at)
-        else:
-            columns += ([(part & m).bit_count() for m in ms] for ms in _position_masks(n, arity))
-    order = sorted(range(n), key=lambda j: [c[j] for c in columns], reverse=True)
-    if order == list(range(n)):
-        return key
-    label = sorted(range(n), key=order.__getitem__).__getitem__
-    relabeled = []
-    for part, (_, arity) in zip(key, sig.symbols):
-        if isinstance(part, tuple):
-            relabeled.append(tuple(sorted(tuple(map(label, t)) for t in part)))
-        else:
-            # The i-th word under the new labels is ``old[i]``-th under the old.
-            old = [0]
-            for _ in range(arity):
-                old = [i * n + x for i in old for x in order]
-            bits = format(part, f"0{len(old)}b")[::-1]  # bits[i]: bit i
-            relabeled.append(int("".join(map(bits.__getitem__, old))[::-1], 2))
-    return tuple(relabeled)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _subset_form(sig: Signature, n: int, key: tuple) -> bytes:
-    """The form of the substructure whose plain cache key is ``key``, looked
-    up under ``_invariant_key``."""
-    return _canonical_form_cached(sig, n, _invariant_key(sig, n, key))
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _canonical_form_cached(sig: Signature, n: int, key: tuple) -> bytes:
-    relations = [
+def _members(sig: Signature, n: int, key: tuple) -> list[list[tuple[int, ...]]]:
+    """Each relation's members, in lex order, of the substructure on range(n)
+    whose ``core._subset_key`` is ``key``."""
+    return [
         list(part) if isinstance(part, tuple)
         else [w for i, w in enumerate(words(n, arity)) if part >> i & 1]
         for part, (_, arity) in zip(key, sig.symbols)
     ]
-    best = _least_relabeling(sig, n, relations)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _subset_form(sig: Signature, n: int, key: tuple) -> bytes:
+    """The form of the substructure whose plain key is ``key``, looked up
+    under its invariant key: the ``core._subset_key`` with the labels in
+    descending order of the count of members holding them, per relation and
+    argument position, ties in label order.
+
+    Any order gives an isomorphic copy, so the same form; counts do not
+    change under relabeling, so isomorphic subsets mostly get one key.  The
+    counts come from the members, never from a scan of all words past
+    SHARED_WORDS_CAP."""
+    members = _members(sig, n, key)
+    # One column per relation and argument position; an empty relation has
+    # none, which ties every label alike.
+    columns = [column.count for tuples in members for column in zip(*tuples)]
+    order = sorted(range(n), key=lambda j: [count(j) for count in columns], reverse=True)
+    if order != list(range(n)):
+        key = _subset_key(sig, list(map(frozenset, members)), order)
+    return _canonical_form_cached(sig, n, key)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _canonical_form_cached(sig: Signature, n: int, key: tuple) -> bytes:
+    best = _least_relabeling(sig, n, _members(sig, n, key))
     return repr((n, sig.symbols, best)).encode("utf-8")
 
 
@@ -344,11 +317,11 @@ def substructure_forms(y: Structure, n: int) -> dict[tuple[int, ...], bytes]:
     the subset, in ``itertools.combinations`` order: the isomorphism type of
     each n-subset, shared by profiles, ages and trace checks.  Each type is
     read off ``y`` (``core._subset_key``); no substructure is built.  Forms are
-    cached under ``_invariant_key``, so isomorphic subsets mostly share one
-    entry, behind a cache of plain keys, so a repeated subset is not
-    relabeled again.  Raises DomainError for n < 1, and UnsupportedSizeError
-    for CANONICAL_SIZE_CAP < n <= size or for more than SUBSET_BUDGET
-    subsets; a larger n has no subsets."""
+    cached under invariant keys (``_subset_form``), so isomorphic subsets
+    mostly share one entry, behind a cache of plain keys, so a repeated
+    subset is not relabeled again.  Raises DomainError for n < 1, and
+    UnsupportedSizeError for CANONICAL_SIZE_CAP < n <= size or for more than
+    SUBSET_BUDGET subsets; a larger n has no subsets."""
     if n < 1:
         raise DomainError(f"substructure size must be positive; got {n}")
     if n > y.size:
@@ -360,6 +333,6 @@ def substructure_forms(y: Structure, n: int) -> dict[tuple[int, ...], bytes]:
             f"a domain of size {y.size} has more of size {n}"
         )
     return {
-        h: _subset_form(y.sig, n, _subset_key(y, h))
+        h: _subset_form(y.sig, n, _subset_key(y.sig, y.relations, h))
         for h in itertools.combinations(range(y.size), n)
     }

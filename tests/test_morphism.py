@@ -6,6 +6,7 @@ import time
 from collections import Counter
 
 import pytest
+from conftest import five_ary_structures
 
 from chainlab import core, corpus, morphism
 from chainlab.core import Signature, induced_substructure, structure
@@ -165,6 +166,17 @@ class TestCanonicalForm:
         )
         assert canonical_form(c5) == canonical_form(relabeled)
 
+    def test_relabeled_copy_runs_no_second_search(self):
+        # Each element of the chain holds the order in a different number of
+        # pairs, so both copies are keyed in one invariant order.
+        y = corpus.chain_structure(6)
+        perm = (3, 5, 0, 4, 1, 2)
+        relabeled = structure(6, {"lt": [(perm[a], perm[b]) for a, b in y.relation("lt")]}, y.sig)
+        morphism._subset_form.cache_clear()
+        morphism._canonical_form_cached.cache_clear()
+        assert canonical_form(relabeled) == canonical_form(y)
+        assert morphism._canonical_form_cached.cache_info().misses == 1
+
     def test_cycle_differs_from_path(self, c5):
         assert canonical_form(c5) != canonical_form(corpus.path_structure(5))
 
@@ -179,16 +191,23 @@ class TestCanonicalForm:
         # The forms are read off y without building a substructure; building
         # each one and taking its canonical form is the oracle.
         inputs = list(corpus.fixture_structures())
-        # A 4-ary relation on 5 points is past the bit-mask key at n = 5, and
-        # the cyclic order on 8 points has exactly SHARED_WORDS_CAP words.
+        # A 4-ary relation on 5 points is past the bit-mask key at n = 5, the
+        # cyclic order on 8 points has exactly SHARED_WORDS_CAP words, and the
+        # dense 5-ary relation's 4-subsets read their members from the words.
         inputs += random_structures(random.Random(9), 2, sizes=(5,), arity=(4, 4))
         inputs.append(corpus.cyclic_order_structure(8))
+        inputs.append(five_ary_structures()[-1])
         for y in inputs:
             for n in range(1, y.size + 2):  # n = size + 1 has no subsets
-                direct = {
-                    h: canonical_form(induced_substructure(y, h))
-                    for h in itertools.combinations(range(y.size), n)
-                }
+                direct = {}
+                for h in itertools.combinations(range(y.size), n):
+                    sub = induced_substructure(y, h)
+                    key = core._subset_key(y.sig, y.relations, h)
+                    assert morphism._members(y.sig, n, key) == [sorted(r) for r in sub.relations]
+                    direct[h] = canonical_form(sub)
+                # Searched again, not read from the entries canonical_form left.
+                morphism._subset_form.cache_clear()
+                morphism._canonical_form_cached.cache_clear()
                 forms = substructure_forms(y, n)
                 assert list(forms.items()) == list(direct.items())
         for n in (0, -1):
@@ -214,7 +233,8 @@ class TestCanonicalForm:
             forms = substructure_forms(y, n)
             distinct = len(set(forms.values()))
             assert morphism._canonical_form_cached.cache_info().misses == distinct, (y, n)
-        plain_keys = {core._subset_key(inputs[0][0], h) for h in itertools.combinations(range(8), 3)}
+        c8 = inputs[0][0]
+        plain_keys = {core._subset_key(c8.sig, c8.relations, h) for h in itertools.combinations(range(8), 3)}
         assert len(plain_keys) == 7
 
     def test_shuffled_copy_has_the_same_subset_forms(self):
@@ -241,6 +261,7 @@ class TestCanonicalForm:
         rng = random.Random(1)
         tuples = {tuple(rng.randrange(8) for _ in range(9)) for _ in range(6)}
         y = structure(8, {"R": tuples}, [("R", 9)])
+        morphism._subset_form.cache_clear()
         morphism._canonical_form_cached.cache_clear()
         start = time.perf_counter()
         (form,) = substructure_forms(y, 8).values()
@@ -318,6 +339,7 @@ class TestCanonicalForm:
             y = corpus.cyclic_order_structure(8)
         else:
             y = structure(8, {"E": edges[name]}, [("E", 2)])
+        morphism._subset_form.cache_clear()
         morphism._canonical_form_cached.cache_clear()
         start = time.perf_counter()
         form = canonical_form(y)

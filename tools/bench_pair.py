@@ -15,11 +15,12 @@ with T the ``run_seconds`` of BENCHMARK.json, on both sides alternately for
 ten pairs, the parent first in odd pairs and the change first in even ones,
 so a slow spell of the host falls on both sides alike.
 
-It also counts the least-relabeling searches of the planted-search profile
-ops: the misses of ``morphism._canonical_form_cached`` over
+It also counts the work of the planted-search profile ops, over
 ``chainability.profile(y, y.size)`` on the first 400 planted structures of the
-seed, every morphism cache cleared first, in a fresh process per side.
-Counts repeat exactly; seconds do not.
+seed, every morphism cache cleared first, in a fresh process per side: the
+least-relabeling searches (misses of ``morphism._canonical_form_cached``) and
+the invariant orders derived (misses of ``morphism._subset_form``).  Counts
+repeat exactly; seconds do not.
 
 The JSON written has ``command``, ``host``, ``parent``, ``change``,
 ``src.lines``, ``profile_cache``, ``workloads`` (every pair's results, keys in
@@ -44,8 +45,8 @@ PAIRS = 10
 PROFILE_STRUCTURES = 400
 
 # Runs in a side's tree: the misses of the form cache, that is the
-# least-relabeling searches, over the planted-search profile ops.  Whatever
-# caches sit in front of it, a miss there is one search on either side.
+# least-relabeling searches, and of the plain-key cache in front of it, that
+# is the invariant orders derived, over the planted-search profile ops.
 PROFILE_PROBE = """
 import json, sys
 root, seed, count = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
@@ -60,7 +61,10 @@ for f in vars(morphism).values():
         f.cache_clear()
 for y in ys:
     chainability.profile(y, y.size)
-print(json.dumps({"misses": morphism._canonical_form_cached.cache_info().misses}))
+print(json.dumps({
+    "misses": morphism._canonical_form_cached.cache_info().misses,
+    "orders": morphism._subset_form.cache_info().misses,
+}))
 """
 
 
@@ -148,9 +152,9 @@ def main() -> None:
             "src.lines": {side: src_lines(roots[side]) for side in SIDES},
         }
         doc["profile_cache"] = {
-            "what": f"least-relabeling searches (misses of morphism._canonical_form_cached) of "
-            f"profile(y, |y|) on the first {PROFILE_STRUCTURES} planted-search structures, seed {args.seed}, "
-            f"every morphism cache cleared first",
+            "what": f"least-relabeling searches ('misses', of morphism._canonical_form_cached) and invariant "
+            f"orders derived ('orders', misses of morphism._subset_form) of profile(y, |y|) on the first "
+            f"{PROFILE_STRUCTURES} planted-search structures, seed {args.seed}, every morphism cache cleared first",
             **{side: profile_cache(roots[side], args.seed, PROFILE_STRUCTURES) for side in SIDES},
         }
         print(f"profile cache: {doc['profile_cache']}", file=sys.stderr)
