@@ -147,6 +147,8 @@ def map_atoms(f: Formula, fn: Callable[[Rel], Formula]) -> Formula:
 # ---------------------------------------------------------------------------
 # Evaluation
 
+_UNBOUND = object()  # a quantified variable's outer binding, when it has none
+
 
 def eval_formula(f: Formula, y: Structure, assignment: dict[str, int]) -> bool:
     """Standard satisfaction over the finite domain; quantifiers iterate the
@@ -160,15 +162,13 @@ def eval_formula(f: Formula, y: Structure, assignment: dict[str, int]) -> bool:
         name: (arity, y.relations[i])
         for i, (name, arity) in enumerate(y.sig.symbols)
     }
-    env = dict(assignment)
+    env = dict(assignment)  # private, so a raise may leave it half-rebound
 
     def run(node: Formula) -> bool:
-        if isinstance(node, Eq):
-            try:
-                return env[node.left] == env[node.right]
-            except KeyError as exc:
-                raise FormulaError(f"unbound variable {exc.args[0]!r}") from exc
-        if isinstance(node, Rel):
+        kind = type(node)
+        if kind is Eq:
+            return env[node.left] == env[node.right]
+        if kind is Rel:
             entry = tables.get(node.symbol)
             if entry is None:
                 raise FormulaError(f"unknown relation symbol {node.symbol!r}")
@@ -177,34 +177,32 @@ def eval_formula(f: Formula, y: Structure, assignment: dict[str, int]) -> bool:
                 raise FormulaError(
                     f"atom {node.symbol!r} has {len(node.args)} arguments, arity is {arity}"
                 )
-            try:
-                point = tuple(env[a] for a in node.args)
-            except KeyError as exc:
-                raise FormulaError(f"unbound variable {exc.args[0]!r}") from exc
-            return point in tuples
-        if isinstance(node, Not):
+            return tuple(env[a] for a in node.args) in tuples
+        if kind is Not:
             return not run(node.body)
-        if isinstance(node, (And, Or)):
-            return (all if isinstance(node, And) else any)(map(run, node.parts))
-        if isinstance(node, (Exists, Forall)):
-            existential = isinstance(node, Exists)
+        if kind is And or kind is Or:
+            return (all if kind is And else any)(map(run, node.parts))
+        if kind is Exists or kind is Forall:
+            existential = kind is Exists
             var = node.var
-            shadowed = env.get(var)
-            had = var in env
-            try:
-                for value in range(y.size):
-                    env[var] = value
-                    if run(node.body) == existential:
-                        return existential
-                return not existential
-            finally:
-                if had:
-                    env[var] = shadowed
-                else:
-                    env.pop(var, None)
+            outer = env.get(var, _UNBOUND)
+            result = not existential
+            for value in range(y.size):
+                env[var] = value
+                if run(node.body) == existential:
+                    result = existential
+                    break
+            if outer is _UNBOUND:
+                env.pop(var, None)
+            else:
+                env[var] = outer
+            return result
         raise FormulaError(f"not a formula node: {node!r}")
 
-    return run(f)
+    try:
+        return run(f)
+    except KeyError as exc:
+        raise FormulaError(f"unbound variable {exc.args[0]!r}") from exc
 
 
 # ---------------------------------------------------------------------------

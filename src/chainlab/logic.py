@@ -416,13 +416,7 @@ def star_translate(f: Formula, defs: QfDefinitionSet) -> Formula:
     replacing every relational atom with its quantifier-free definition
     instantiated at the atom's variables.  Equalities and the logical
     skeleton pass through unchanged."""
-
-    def define(atom: Rel) -> Formula:
-        if not defs.has(atom.symbol):
-            raise DomainError(f"no definition for symbol {atom.symbol!r}")
-        return definition_formula(defs, atom.symbol, atom.args)
-
-    return map_atoms(f, define)
+    return map_atoms(f, lambda atom: definition_formula(defs, atom.symbol, atom.args))
 
 
 # ---------------------------------------------------------------------------

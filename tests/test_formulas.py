@@ -42,15 +42,23 @@ class TestEval:
         assert eval_formula(Eq("v0", "v1"), c5, {"v0": 2, "v1": 2})
 
     def test_unbound_variable_rejected(self, c5):
-        with pytest.raises(FormulaError):
+        with pytest.raises(FormulaError, match="unbound variable 'v1'"):
             eval_formula(Eq("v0", "v1"), c5, {"v0": 2})
+        # Raised inside a quantifier, the error leaves the caller's dict as it was.
+        assignment = {"v": 3}
+        with pytest.raises(FormulaError, match="unbound variable 'w'"):
+            eval_formula(Exists("v", Rel("E", ("v", "w"))), c5, assignment)
+        assert assignment == {"v": 3}
 
     def test_unknown_symbol_rejected(self, c5):
-        with pytest.raises(FormulaError):
+        with pytest.raises(FormulaError, match="unknown relation symbol 'missing'"):
             eval_formula(Exists("v", Rel("missing", ("v",))), c5, {})
+        for f in ("x", Not("x")):
+            with pytest.raises(FormulaError, match="not a formula node"):
+                eval_formula(f, c5, {})
 
     def test_arity_mismatch_rejected(self, c5):
-        with pytest.raises(FormulaError):
+        with pytest.raises(FormulaError, match="atom 'E' has 1 arguments, arity is 2"):
             eval_formula(Exists("v", Rel("E", ("v",))), c5, {})
 
     def test_quantifier_shadowing(self, c5):
@@ -58,6 +66,12 @@ class TestEval:
         f = Exists("v", And(Eq("v", "v"), Exists("v", Rel("E", ("v", "v")))))
         assert not eval_formula(f, c5, {})
         assert eval_formula(Eq("v", "u"), c5, {"v": 1, "u": 1})
+        # The quantifier stops at v = 0, then the outer v = 1 is back; with no
+        # outer v, the variable is unbound again after the quantifier.
+        f = And(Exists("v", Eq("v", "v")), Eq("v", "u"))
+        assert eval_formula(f, c5, {"v": 1, "u": 1})
+        with pytest.raises(FormulaError, match="unbound variable 'v'"):
+            eval_formula(f, c5, {"u": 1})
 
     def test_empty_domain_quantifiers(self):
         y = structure(0, {}, [("E", 2)])

@@ -313,7 +313,7 @@ class TestStarTranslate:
 
     def test_missing_definition_rejected(self):
         defs = make_definition_set([("E", 2, [])])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="no definition for symbol 'other'"):
             star_translate(Rel("other", ("v0",)), defs)
 
     @pytest.mark.parametrize("nonempty", [False, True])
