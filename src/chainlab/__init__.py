@@ -23,13 +23,13 @@ _EXPORTS = {
     "errors": "ChainlabError DomainError FormulaError NotSimplyDefinableError ParseError"
     " UnsupportedSizeError",
     "formulas": "And Eq Exists Forall Formula Not Or Rel eval_formula format_formula"
-    " free_variables map_atoms parse_formula",
+    " map_atoms parse_formula",
     "gpw": "ChainOrderFamily GpwClassification classify_family enumerate_chaining_orders"
     " expand_classification",
     "logic": "LiteralType QfDefinitionSet age_sentence apply_definitions"
-    " check_age_sentence_agreement definition_formula endpoint_sentences"
-    " extract_definitions literal_type quotient_translate render_literal_type"
-    " star_translate theory_star_sentences verify_definitions",
+    " check_age_sentence_agreement definition_formula extract_definitions literal_type"
+    " quotient_translate render_literal_type star_translate theory_star_sentences"
+    " verify_definitions",
     "morphism": "PartialMap canonical_form enumerate_partial_automorphisms"
     " find_isomorphism is_partial_automorphism substructure_forms",
 }

@@ -135,12 +135,13 @@ def _extends_purely(
     return True
 
 
-def _split_domain(y: Structure, f_set: Iterable[int]) -> tuple[frozenset[int], list[int]]:
-    """The frozen set and its ascending complement, or DomainError."""
+def _in_domain(y: Structure, f_set: Iterable[int]) -> frozenset[int]:
+    """The frozen set, or DomainError; checked by comparison, so the domain
+    is never listed."""
     f = frozenset(int(x) for x in f_set)
-    if not f <= set(range(y.size)):
+    if any(not 0 <= x < y.size for x in f):
         raise DomainError(f"f_set {sorted(f)} leaves the domain of size {y.size}")
-    return f, sorted(set(range(y.size)) - f)
+    return f
 
 
 def iter_chain_orders(y: Structure, f_set: Iterable[int]) -> Iterator[tuple[int, ...]]:
@@ -154,7 +155,8 @@ def iter_chain_orders(y: Structure, f_set: Iterable[int]) -> Iterator[tuple[int,
     prefix is dropped unless every remaining element extends it purely, since
     each follows the whole prefix in any completion.  There is no cap.
     """
-    f, rest = _split_domain(y, f_set)
+    f = _in_domain(y, f_set)
+    rest = [e for e in range(y.size) if e not in f]
     bound = y.sig.max_arity()
     type_of = _subset_types(y, tuple(sorted(f)))
     if len({type_of((e,)) for e in rest}) > 1:

@@ -323,10 +323,6 @@ def structure_from_dict(doc: dict) -> Structure:
     return structure(size, relations, sig)
 
 
-def companion_to_dict(x: Companion) -> dict:
-    return {"size": x.size, "order": list(x.order), "constants": list(x.constants)}
-
-
 def companion_from_dict(doc: dict) -> Companion:
     try:
         return Companion(

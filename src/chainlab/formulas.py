@@ -114,20 +114,6 @@ def falsum(var: str) -> Formula:
     return Not(Eq(var, var))
 
 
-def free_variables(f: Formula) -> frozenset[str]:
-    if isinstance(f, Eq):
-        return frozenset((f.left, f.right))
-    if isinstance(f, Rel):
-        return frozenset(f.args)
-    if isinstance(f, Not):
-        return free_variables(f.body)
-    if isinstance(f, (And, Or)):
-        return frozenset().union(*map(free_variables, f.parts))
-    if isinstance(f, (Exists, Forall)):
-        return free_variables(f.body) - {f.var}
-    raise FormulaError(f"not a formula node: {f!r}")
-
-
 def map_atoms(f: Formula, fn: Callable[[Rel], Formula]) -> Formula:
     """Rebuild the tree with every relational atom replaced by ``fn(atom)``;
     equalities, connectives and quantifiers stay as they are."""

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .chainability import _split_domain, iter_chain_orders
+from .chainability import _in_domain, iter_chain_orders
 from .core import Structure
 from .errors import DomainError, UnsupportedSizeError
 
@@ -91,10 +91,10 @@ def enumerate_chaining_orders(y: Structure, f_set: Iterable[int]) -> ChainOrderF
     """Every complement order of ``f_set`` that chains ``y``, listed
     lexicographically, from the type-purity search of iter_chain_orders.
     Capped at complement size 8."""
-    f, rest = _split_domain(y, f_set)
-    if len(rest) > ENUMERATION_REST_CAP:
+    f = _in_domain(y, f_set)
+    if y.size - len(f) > ENUMERATION_REST_CAP:
         raise UnsupportedSizeError(
-            f"enumerating {len(rest)}! orders exceeds the cap of "
+            f"enumerating {y.size - len(f)}! orders exceeds the cap of "
             f"{ENUMERATION_REST_CAP}! candidates"
         )
     return ChainOrderFamily(f, tuple(iter_chain_orders(y, f)))

@@ -476,26 +476,3 @@ def theory_star_sentences(k: int) -> list[Formula]:
         )
     return sentences
 
-
-def endpoint_sentences(k: int) -> tuple[Formula, Formula]:
-    """Two end-point sentences over the companion language: the last marked
-    element has an immediate successor, and a maximum exists.  The first
-    mentions the last mark, so it needs at least one constant."""
-    if k < 1:
-        raise DomainError("the successor sentence references the last constant; k >= 1 required")
-    u, v, w = "u", "v", "w"
-    theta0 = Exists(
-        v,
-        Forall(
-            u,
-            implies(
-                Rel(f"U{k - 1}", (u,)),
-                And(
-                    Rel("R", (u, v)),
-                    Not(Exists(w, And(Rel("R", (u, w)), Rel("R", (w, v))))),
-                ),
-            ),
-        ),
-    )
-    theta1 = Exists(v, Forall(u, implies(Not(Eq(u, v)), Rel("R", (u, v)))))
-    return theta0, theta1

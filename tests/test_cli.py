@@ -99,6 +99,22 @@ class TestExitCodes:
             "error": "unsupported_size",
         }
 
+    def test_classify_orders_on_a_huge_declared_size_is_unsupported_size(self, tmp_path):
+        # The cap on the complement's size is checked before the complement
+        # is listed; an --f outside the domain is still refused first.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"signature": [{"name": "E", "arity": 2}], "size": 10**12}))
+        result = run_cli("classify-orders", "--structure", str(path), timeout=30)
+        assert result.returncode == 1
+        assert result.stderr == ""
+        assert json.loads(result.stdout) == {
+            "detail": "enumerating 1000000000000! orders exceeds the cap of 8! candidates",
+            "error": "unsupported_size",
+        }
+        result = run_cli("classify-orders", "--structure", str(path), "--f", "0,-1", timeout=30)
+        assert result.returncode == 1
+        assert json.loads(result.stdout)["error"] == "domain_error"
+
     @pytest.mark.parametrize("assign", ["u=99,v=-3", "u=0,v=5", "u=-1,v=0"])
     def test_star_eval_assignment_outside_the_domain_is_domain_error(self, tmp_path, assign):
         path = tmp_path / "c5_frozen0123.json"

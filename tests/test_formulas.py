@@ -16,7 +16,6 @@ from chainlab.formulas import (
     and_all,
     eval_formula,
     format_formula,
-    free_variables,
     map_atoms,
     or_all,
     parse_formula,
@@ -131,10 +130,6 @@ class TestTextFormat:
 
 
 class TestHelpers:
-    def test_free_variables(self):
-        f = Exists("v0", And(Rel("E", ("v0", "v1")), Eq("v2", "v2")))
-        assert free_variables(f) == frozenset({"v1", "v2"})
-
     def test_and_or_builders(self):
         parts = [Eq("a", "a"), Eq("b", "b"), Eq("c", "c")]
         assert format_formula(and_all(parts)) == "(and (and (= a a) (= b b)) (= c c))"
@@ -184,7 +179,6 @@ class TestHelpers:
             text = f"({keyword} " * (n - 1) + "(rel E u x0)"
             text += "".join(f" (rel E u x{i}))" for i in range(1, n))
             assert format_formula(f) == text
-            assert free_variables(f) == {"u", *(f"x{i}" for i in range(n))}
             assert eval_formula(f, y, only_last) is on_last
             assert eval_formula(f, y, every) is True
             flipped = map_atoms(f, lambda atom: Rel(atom.symbol, atom.args[::-1]))

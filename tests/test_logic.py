@@ -20,7 +20,6 @@ from chainlab.logic import (
     apply_definitions,
     check_age_sentence_agreement,
     definition_formula,
-    endpoint_sentences,
     extract_definitions,
     literal_type,
     make_definition_set,
@@ -370,21 +369,3 @@ class TestCompanionSentences:
         assert len(theory_star_sentences(0)) == 1
         assert len(theory_star_sentences(1)) == 3
         assert len(theory_star_sentences(2)) == 4
-
-    def test_endpoints_on_finite_companions(self):
-        x = companion_structure(5, (4,), (0, 1, 2, 3))
-        xs = companion_as_structure(x)
-        theta0, theta1 = endpoint_sentences(1)
-        assert eval_formula(theta0, xs, {})
-        assert eval_formula(theta1, xs, {})
-
-    def test_all_constants_fails_successor_sentence(self):
-        x = companion_structure(2, (0, 1), ())
-        xs = companion_as_structure(x)
-        theta0, theta1 = endpoint_sentences(2)
-        assert not eval_formula(theta0, xs, {})
-        assert eval_formula(theta1, xs, {})
-
-    def test_zero_constants_rejected_for_successor(self):
-        with pytest.raises(DomainError):
-            endpoint_sentences(0)

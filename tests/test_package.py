@@ -1,7 +1,10 @@
-"""The package namespace: ``import chainlab`` is lazy, and every public name
-resolves to the object its defining module holds."""
+"""The package namespace: ``import chainlab`` is lazy, every public name
+resolves to the object its defining module holds, and each one has a use
+outside the tests."""
 
+import ast
 import importlib
+import pathlib
 import subprocess
 import sys
 
@@ -47,3 +50,31 @@ def test_submodules_resolve_after_a_bare_import():
         [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
     )
     assert result.returncode == 0, result.stderr
+
+
+def _reads(path: pathlib.Path) -> set[str]:
+    """The names, attributes and imported names that the top-level
+    statements of ``path`` read, each statement without the name it defines,
+    so a definition (recursive or not) is no use of itself."""
+    out: set[str] = set()
+    for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+        reads = set()
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reads.add(node.attr)
+            elif isinstance(node, ast.alias):
+                reads.add(node.name)
+        out |= reads - {getattr(statement, "name", None)}
+    return out
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # A public function that only tests call is code kept alive by its tests.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    paths = [p for p in (root / "src" / "chainlab").glob("*.py") if p.name != "__init__.py"]
+    for folder in ("demos", "perfbench", "tools"):
+        paths += (root / folder).rglob("*.py")
+    used = set().union(*map(_reads, paths))
+    assert [name for name in chainlab.__all__ if name not in used] == []
