@@ -21,39 +21,36 @@ no code with it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import Companion, Structure, _subset_key, companion_structure, induced_substructure
+from .core import (
+    Companion, Record, Structure, _subset_key, companion_structure, induced_substructure
+)
 from .errors import DomainError, UnsupportedSizeError
 
 # ``morphism`` is imported by the functions that compute forms, so a process
 # that computes none (a CLI verb such as kernel or find-order) never loads it.
 
 
-@dataclass(frozen=True, slots=True)
-class ChainWitness:
+class ChainWitness(Record, namedtuple("ChainWitness", "f_set rest_order")):
     """A frozen set together with a linear arrangement of its complement."""
 
-    f_set: frozenset[int]
-    rest_order: tuple[int, ...]
+    __slots__ = ()
 
     @staticmethod
     def of(f_set: Iterable[int], rest_order: Iterable[int]) -> "ChainWitness":
         return ChainWitness(frozenset(int(x) for x in f_set), tuple(int(x) for x in rest_order))
 
 
-@dataclass(frozen=True, slots=True)
-class KernelReport:
+class KernelReport(Record, namedtuple("KernelReport", "min_size minimal_sets search_bound")):
     """Smallest frozen-set size admitting a chaining order, with every
-    minimal set and one witness order each.
+    minimal set and one witness order each, as (set, order) tuple pairs.
 
     ``min_size`` is None when no set within ``search_bound`` works.
     """
 
-    min_size: int | None
-    minimal_sets: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    search_bound: int
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -65,11 +62,10 @@ class KernelReport:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class ProfileReport:
+class ProfileReport(Record, namedtuple("ProfileReport", "values")):
     """Per-size counts of isomorphism types of induced substructures."""
 
-    values: tuple[int, ...]
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {"values": list(self.values)}

@@ -17,32 +17,50 @@ from __future__ import annotations
 import itertools
 import json
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, ParseError
 
 
-@dataclass(frozen=True, slots=True)
-class Signature:
+class Record:
+    """The base of the library's immutable records, each declared as
+    ``class X(Record, namedtuple("X", "field ..."))`` with ``__slots__ = ()``
+    and validated in ``__new__``.  Equality is class-strict: a record equals
+    only a record of its own class with equal fields, never a plain tuple.
+    The hash is the hash of the field tuple."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class Signature(Record, namedtuple("Signature", "symbols")):
     """An ordered list of (name, arity) relation symbols.
 
     Symbol order is significant and preserved by every operation, so two
     structures are equal only when their signatures agree symbol-for-symbol.
     """
 
-    symbols: tuple[tuple[str, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        names = [name for name, _ in self.symbols]
+    def __new__(cls, symbols: tuple[tuple[str, int], ...]):
+        names = [name for name, _ in symbols]
         if len(set(names)) != len(names):
             raise DomainError(f"duplicate symbol names in signature: {names}")
-        for name, arity in self.symbols:
+        for name, arity in symbols:
             if not isinstance(name, str) or not name:
                 raise DomainError(f"symbol name must be a non-empty string: {name!r}")
             if not isinstance(arity, int) or arity < 1:
                 raise DomainError(f"arity of {name!r} must be a positive integer")
+        return tuple.__new__(cls, (symbols,))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -65,8 +83,7 @@ def signature(pairs: Iterable[tuple[str, int]]) -> Signature:
     return Signature(tuple((str(n), int(a)) for n, a in pairs))
 
 
-@dataclass(frozen=True, slots=True)
-class Structure:
+class Structure(Record, namedtuple("Structure", "sig size relations")):
     """A finite relational structure on domain {0, ..., size-1}.
 
     ``relations`` is aligned with ``sig.symbols``; each entry is a frozenset
@@ -74,21 +91,20 @@ class Structure:
     relation lives inside the full cartesian power of the domain.
     """
 
-    sig: Signature
-    size: int
-    relations: tuple[frozenset[tuple[int, ...]], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.size < 0:
+    def __new__(cls, sig: Signature, size: int, relations: tuple[frozenset[tuple[int, ...]], ...]):
+        if size < 0:
             raise DomainError("size must be non-negative")
-        if len(self.relations) != len(self.sig.symbols):
+        if len(relations) != len(sig.symbols):
             raise DomainError("relation count must equal signature symbol count")
-        for (name, arity), tuples in zip(self.sig.symbols, self.relations):
+        for (name, arity), tuples in zip(sig.symbols, relations):
             for t in tuples:
                 if len(t) != arity:
                     raise DomainError(f"tuple {t} has wrong arity for {name!r}")
-                if any(not (0 <= x < self.size) for x in t):
+                if any(not (0 <= x < size) for x in t):
                     raise DomainError(f"tuple {t} of {name!r} leaves the domain")
+        return tuple.__new__(cls, (sig, size, relations))
 
     def relation(self, name: str) -> frozenset[tuple[int, ...]]:
         return self.relations[self.sig.index(name)]
@@ -205,8 +221,7 @@ def reduct(y: Structure, keep: Iterable[str]) -> Structure:
 # Companions
 
 
-@dataclass(frozen=True, slots=True)
-class Companion:
+class Companion(Record, namedtuple("Companion", "size order constants")):
     """A linear order on {0, ..., size-1} with marked elements.
 
     ``order`` lists the domain in increasing companion order; ``constants``
@@ -216,17 +231,16 @@ class Companion:
     which ``validate_companion_axioms`` detects.
     """
 
-    size: int
-    order: tuple[int, ...]
-    constants: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if sorted(self.order) != list(range(self.size)):
+    def __new__(cls, size: int, order: tuple[int, ...], constants: tuple[int, ...]):
+        if sorted(order) != list(range(size)):
             raise DomainError("order must be a permutation of the domain")
-        if len(set(self.constants)) != len(self.constants):
+        if len(set(constants)) != len(constants):
             raise DomainError("constants must be distinct")
-        if any(not (0 <= c < self.size) for c in self.constants):
+        if any(not (0 <= c < size) for c in constants):
             raise DomainError("constants must lie in the domain")
+        return tuple.__new__(cls, (size, order, constants))
 
     @property
     def rest(self) -> tuple[int, ...]:

@@ -11,10 +11,10 @@ read as a fraction of 2**64, falls below the density.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
-from .core import Structure, structure
+from .core import Record, Structure, structure
 from .errors import DomainError, UnsupportedSizeError
 
 _MASK64 = (1 << 64) - 1
@@ -44,8 +44,7 @@ class SplitMix64:
         return self.next64() < int(probability * 2.0**64)
 
 
-@dataclass(frozen=True, slots=True)
-class RandomSpec:
+class RandomSpec(Record, namedtuple("RandomSpec", "seed size symbols arity_min arity_max density")):
     """A deterministic recipe for one random structure.
 
     Identical specs yield byte-identical structures.  Stream consumption
@@ -54,26 +53,30 @@ class RandomSpec:
     lexicographic.
     """
 
-    seed: int
-    size: int
-    symbols: int = 1
-    arity_min: int = 2
-    arity_max: int = 2
-    density: float = 0.5
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.size < 0 or self.symbols < 0:
+    def __new__(
+        cls,
+        seed: int,
+        size: int,
+        symbols: int = 1,
+        arity_min: int = 2,
+        arity_max: int = 2,
+        density: float = 0.5,
+    ):
+        if size < 0 or symbols < 0:
             raise DomainError("size and symbol count must be non-negative")
-        if not (1 <= self.arity_min <= self.arity_max):
+        if not (1 <= arity_min <= arity_max):
             raise DomainError("need 1 <= arity_min <= arity_max")
-        if not (0.0 <= self.density <= 1.0):
+        if not (0.0 <= density <= 1.0):
             raise DomainError("density must lie in [0, 1]")
-        if self.size > GENERATION_SIZE_CAP:
+        if size > GENERATION_SIZE_CAP:
             raise UnsupportedSizeError(f"generation capped at size {GENERATION_SIZE_CAP}")
-        if self.arity_max > GENERATION_ARITY_CAP:
+        if arity_max > GENERATION_ARITY_CAP:
             raise UnsupportedSizeError(f"generation capped at arity {GENERATION_ARITY_CAP}")
-        if self.symbols > GENERATION_SYMBOL_CAP:
+        if symbols > GENERATION_SYMBOL_CAP:
             raise UnsupportedSizeError(f"generation capped at {GENERATION_SYMBOL_CAP} symbols")
+        return tuple.__new__(cls, (seed, size, symbols, arity_min, arity_max, density))
 
 
 def generate(spec: RandomSpec) -> Structure:

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Iterable, Union
 
-from .core import Structure
+from .core import Record, Structure
 from .errors import FormulaError, ParseError
 
 Formula = Union["Eq", "Rel", "Not", "And", "Or", "Exists", "Forall"]
@@ -37,58 +37,49 @@ Formula = Union["Eq", "Rel", "Not", "And", "Or", "Exists", "Forall"]
 FORMULA_DEPTH_CAP = 500
 
 
-@dataclass(frozen=True, slots=True)
-class Eq:
-    left: str
-    right: str
+class Eq(Record, namedtuple("Eq", "left right")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Rel:
-    symbol: str
-    args: tuple[str, ...]
+class Rel(Record, namedtuple("Rel", "symbol args")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Not:
-    body: Formula
+class Not(Record, namedtuple("Not", "body")):
+    __slots__ = ()
 
 
-def _chain(kind: type, parts: tuple[Formula, ...]) -> tuple[Formula, ...]:
-    """The parts of a ``kind`` node, with a leading ``kind`` node spliced in."""
-    if len(parts) < 2:
-        raise FormulaError(f"{kind.__name__} needs at least two parts, got {len(parts)}")
-    if type(parts[0]) is kind:
-        return parts[0].parts + parts[1:]
-    return parts
+class _Chain(Record):
+    """The constructor of the n-ary connectives: ``cls(*parts)`` holds the
+    parts, with a leading ``cls`` node spliced in."""
+
+    __slots__ = ()
+
+    def __new__(cls, *parts: Formula):
+        if len(parts) < 2:
+            raise FormulaError(f"{cls.__name__} needs at least two parts, got {len(parts)}")
+        if type(parts[0]) is cls:
+            parts = parts[0].parts + parts[1:]
+        return tuple.__new__(cls, (parts,))
+
+    def __getnewargs__(self):
+        return self.parts
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class And:
-    parts: tuple[Formula, ...]
-
-    def __init__(self, *parts: Formula) -> None:
-        object.__setattr__(self, "parts", _chain(And, parts))
+class And(_Chain, namedtuple("And", "parts")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Or:
-    parts: tuple[Formula, ...]
-
-    def __init__(self, *parts: Formula) -> None:
-        object.__setattr__(self, "parts", _chain(Or, parts))
+class Or(_Chain, namedtuple("Or", "parts")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Exists:
-    var: str
-    body: Formula
+class Exists(Record, namedtuple("Exists", "var body")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Forall:
-    var: str
-    body: Formula
+class Forall(Record, namedtuple("Forall", "var body")):
+    __slots__ = ()
 
 
 def and_all(parts: Iterable[Formula]) -> Formula:

@@ -22,35 +22,34 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Iterable, Sequence
 
 from .chainability import _in_domain, iter_chain_orders
-from .core import Structure
+from .core import Record, Structure
 from .errors import DomainError, UnsupportedSizeError
 
 ENUMERATION_REST_CAP = 8
 
 
-@dataclass(frozen=True, slots=True)
-class ChainOrderFamily:
+class ChainOrderFamily(Record, namedtuple("ChainOrderFamily", "f_set orders")):
     """A frozen set together with every complement order that chains the
     structure over it.  Presentation order of ``orders`` is not significant;
     reversal closure is required."""
 
-    f_set: frozenset[int]
-    orders: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        seen = set(self.orders)
-        if len(seen) != len(self.orders):
+    def __new__(cls, f_set: frozenset[int], orders: tuple[tuple[int, ...], ...]):
+        seen = set(orders)
+        if len(seen) != len(orders):
             raise DomainError("family lists an order twice")
-        for order in self.orders:
+        for order in orders:
             if tuple(reversed(order)) not in seen:
                 raise DomainError(
                     f"family is not closed under reversal: {order} is in, "
                     f"{tuple(reversed(order))} is not"
                 )
+        return tuple.__new__(cls, (f_set, orders))
 
     def sorted_orders(self) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted(self.orders))
@@ -59,8 +58,7 @@ class ChainOrderFamily:
         return {"f": sorted(self.f_set), "orders": [list(o) for o in self.sorted_orders()]}
 
 
-@dataclass(frozen=True)
-class GpwClassification:
+class GpwClassification(Record, namedtuple("GpwClassification", "tag base k_set h_set evidence")):
     """Outcome of matching a family against the three shapes.
 
     ``base`` is set for RotationFamily and BoundedPerturbation; ``k_set`` and
@@ -70,11 +68,10 @@ class GpwClassification:
     pattern.
     """
 
-    tag: str
-    base: tuple[int, ...] | None = None
-    k_set: tuple[int, ...] | None = None
-    h_set: tuple[int, ...] | None = None
-    evidence: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, tag: str, base=None, k_set=None, h_set=None, evidence: dict | None = None):
+        return tuple.__new__(cls, (tag, base, k_set, h_set, {} if evidence is None else evidence))
 
     def to_dict(self) -> dict:
         doc: dict = {"tag": self.tag, "evidence": dict(self.evidence)}

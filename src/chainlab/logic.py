@@ -12,13 +12,14 @@ formula is a separate deterministic step.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .core import (
     CACHE_SIZE,
     Companion,
+    Record,
     Signature,
     Structure,
     companion_as_structure,
@@ -54,8 +55,7 @@ AGE_SENTENCE_SIZE_CAP = 6
 # Literal types
 
 
-@dataclass(frozen=True, slots=True)
-class LiteralType:
+class LiteralType(Record, namedtuple("LiteralType", "block_of marks num_constants")):
     """The quantifier-free type of a k-tuple over a companion.
 
     ``block_of[i]`` is the rank of variable i's value among the distinct
@@ -65,24 +65,21 @@ class LiteralType:
     unmarked ones and their marks strictly increase.
     """
 
-    block_of: tuple[int, ...]
-    marks: tuple[int | None, ...]
-    num_constants: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        k = len(self.block_of)
-        if k < 1:
+    def __new__(cls, block_of: tuple[int, ...], marks: tuple[int | None, ...], num_constants: int):
+        if len(block_of) < 1:
             raise DomainError("literal type needs at least one variable")
-        b = len(self.marks)
-        if sorted(set(self.block_of)) != list(range(b)):
+        if sorted(set(block_of)) != list(range(len(marks))):
             raise DomainError("block indices must cover 0..blocks-1")
-        marked = [m for m in self.marks if m is not None]
-        if self.marks[: len(marked)] != tuple(marked):
+        marked = [m for m in marks if m is not None]
+        if marks[: len(marked)] != tuple(marked):
             raise DomainError("marked blocks must precede unmarked blocks")
         if any(m2 <= m1 for m1, m2 in zip(marked, marked[1:])):
             raise DomainError("constant marks must strictly increase")
-        if any(not (0 <= m < self.num_constants) for m in marked):
+        if any(not (0 <= m < num_constants) for m in marked):
             raise DomainError("constant mark out of range")
+        return tuple.__new__(cls, (block_of, marks, num_constants))
 
     @property
     def arity(self) -> int:
@@ -148,23 +145,24 @@ def render_literal_type(t: LiteralType, variables: Sequence[str]) -> Formula:
 # Definition sets
 
 
-@dataclass(frozen=True, slots=True)
-class QfDefinitionSet:
+class QfDefinitionSet(Record, namedtuple("QfDefinitionSet", "entries")):
     """Per relation symbol, the set of literal types whose union defines it
-    (a disjunctive normal form over the companion language)."""
+    (a disjunctive normal form over the companion language): ``entries``
+    holds one (name, arity, types) triple per symbol."""
 
-    entries: tuple[tuple[str, int, tuple[LiteralType, ...]], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        names = [name for name, _, _ in self.entries]
+    def __new__(cls, entries: tuple[tuple[str, int, tuple[LiteralType, ...]], ...]):
+        names = [name for name, _, _ in entries]
         if len(set(names)) != len(names):
             raise DomainError("duplicate symbols in definition set")
-        for name, arity, types in self.entries:
+        for name, arity, types in entries:
             for t in types:
                 if t.arity != arity:
                     raise DomainError(
                         f"definition of {name!r} mixes arities {arity} and {t.arity}"
                     )
+        return tuple.__new__(cls, (entries,))
 
     def types_for(self, name: str) -> tuple[LiteralType, ...]:
         for sym, _, types in self.entries:

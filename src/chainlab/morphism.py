@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import Iterator
 
-from .core import CACHE_SIZE, Signature, Structure, _subset_key, words
+from .core import CACHE_SIZE, Record, Signature, Structure, _subset_key, words
 from .errors import DomainError, UnsupportedSizeError
 
 CANONICAL_SIZE_CAP = 8
@@ -31,21 +31,19 @@ CANONICAL_SIZE_CAP = 8
 SUBSET_BUDGET = 10**6
 
 
-@dataclass(frozen=True, slots=True)
-class PartialMap:
+class PartialMap(Record, namedtuple("PartialMap", "pairs")):
     """A finite injective partial function, stored as source-sorted pairs."""
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        sources = [s for s, _ in self.pairs]
-        targets = [t for _, t in self.pairs]
+    def __new__(cls, pairs: tuple[tuple[int, int], ...]):
+        sources = [s for s, _ in pairs]
+        targets = [t for _, t in pairs]
         if len(set(sources)) != len(sources):
             raise DomainError("partial map has a repeated source")
         if len(set(targets)) != len(targets):
             raise DomainError("partial map has a repeated target (not injective)")
-        if list(self.pairs) != sorted(self.pairs):
-            object.__setattr__(self, "pairs", tuple(sorted(self.pairs)))
+        return tuple.__new__(cls, (tuple(sorted(pairs)),))
 
     @staticmethod
     def of(mapping: dict[int, int] | list[tuple[int, int]]) -> "PartialMap":

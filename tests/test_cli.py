@@ -503,6 +503,18 @@ class TestImports:
         )
         assert result.returncode == 0, result.stderr
 
+    def test_verb_modules_load_no_class_builder(self):
+        # -S keeps site hooks (.pth files) out of the snapshot.
+        code = (
+            "import sys\n"
+            "from chainlab import cli, core, chainability, morphism, gpw, logic, formulas, corpus\n"
+            "assert not {'dataclasses', 'inspect'} & set(sys.modules), sorted(sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=child_env()
+        )
+        assert result.returncode == 0, result.stderr
+
     def test_bare_package_import_loads_no_submodule(self):
         code = "import sys\nimport chainlab\nassert not [n for n in sys.modules if n.startswith('chainlab.')]\n"
         result = subprocess.run(

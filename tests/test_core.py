@@ -1,11 +1,16 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 
 from chainlab import corpus
+from chainlab.chainability import ChainWitness, KernelReport, ProfileReport
 from chainlab.core import (
     Companion,
+    Record,
     Signature,
+    Structure,
     companion_from_dict,
     companion_structure,
     induced_substructure,
@@ -16,7 +21,11 @@ from chainlab.core import (
     validate_companion_axioms,
     words,
 )
-from chainlab.errors import DomainError, ParseError
+from chainlab.errors import DomainError, FormulaError, ParseError
+from chainlab.formulas import And, Eq, Exists, Forall, Not, Or, Rel
+from chainlab.gpw import ChainOrderFamily, GpwClassification
+from chainlab.logic import LiteralType, QfDefinitionSet
+from chainlab.morphism import PartialMap
 
 
 class TestSignature:
@@ -270,3 +279,119 @@ class TestSerialization:
         doc = {"signature": [{"name": name, "arity": 2}], "size": 3, "relations": {}}
         with pytest.raises(ParseError, match="symbol name"):
             structure_from_dict(doc)
+
+
+def _records() -> list[Record]:
+    """One instance of every record class of the library."""
+    sig = Signature((("E", 2),))
+    a, b = Eq("u", "v"), Rel("E", ("u", "v"))
+    lt = LiteralType((0, 1), (None, None), 0)
+    return [
+        sig,
+        Structure(sig, 2, (frozenset({(0, 1)}),)),
+        Companion(3, (2, 0, 1), (2,)),
+        ChainWitness.of([0], [1, 2]),
+        KernelReport(1, (((0,), (1, 2)),), 3),
+        ProfileReport((1, 2)),
+        PartialMap(((1, 0), (0, 1))),
+        ChainOrderFamily(frozenset({0}), ((1, 2), (2, 1))),
+        GpwClassification("AllOrders", evidence={"order_count": 2}),
+        lt,
+        QfDefinitionSet((("E", 2, (lt,)),)),
+        a,
+        b,
+        Not(a),
+        And(a, b),
+        Or(a, b),
+        Exists("u", b),
+        Forall("u", b),
+        corpus.RandomSpec(seed=1, size=3),
+    ]
+
+
+def _fields(r: Record) -> tuple:
+    return tuple(getattr(r, name) for name in r._fields)
+
+
+class TestRecords:
+    """Records are tuples underneath; these are the dataclass-like parts of
+    their contract that the library relies on."""
+
+    def test_every_record_class_is_covered(self):
+        def leaves(cls):
+            for sub in cls.__subclasses__():
+                yield from leaves(sub) if sub.__subclasses__() else (sub,)
+
+        assert set(leaves(Record)) == {type(r) for r in _records()}
+
+    def test_equality_is_class_strict(self):
+        a, b = Eq("u", "v"), Rel("E", ("u", "v"))
+        assert And(a, b) != Or(a, b)
+        assert not And(a, b) == Or(a, b)
+        assert Exists("u", b) != Forall("u", b)
+        symbols = (("E", 2),)
+        assert Signature(symbols) != (symbols,)
+        assert (symbols,) != Signature(symbols)
+        for r in _records():
+            assert r != _fields(r) and not r == _fields(r), r
+            assert r == copy.copy(r) and not r != copy.copy(r), r
+
+    def test_hash_is_the_hash_of_the_fields(self):
+        for r in _records():
+            if isinstance(r, GpwClassification):  # its evidence is a dict
+                with pytest.raises(TypeError):
+                    hash(r)
+            else:
+                assert hash(r) == hash(_fields(r)), r
+
+    def test_records_are_immutable_and_have_no_dict(self):
+        for r in _records():
+            assert not hasattr(r, "__dict__"), r
+            for name in (r._fields[0], "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(r, name, None)
+
+    def test_repr_names_the_class_and_fields(self):
+        assert repr(Eq("u", "v")) == "Eq(left='u', right='v')"
+        for r in _records():
+            shown = ", ".join(f"{name}={getattr(r, name)!r}" for name in r._fields)
+            assert repr(r) == f"{type(r).__name__}({shown})"
+
+    def test_copies_and_pickles_round_trip(self):
+        # And and Or take their parts spread, not as one tuple.
+        for r in _records():
+            assert copy.deepcopy(r) == r
+            assert pickle.loads(pickle.dumps(r)) == r
+
+    def test_keyword_defaults(self):
+        assert GpwClassification("AllOrders").evidence == {}
+        assert GpwClassification("AllOrders").evidence is not GpwClassification("AllOrders").evidence
+        assert corpus.RandomSpec(0, 3) == corpus.RandomSpec(0, 3, 1, 2, 2, 0.5)
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: Signature((("E", 2), ("E", 1))), DomainError,
+             "duplicate symbol names in signature: ['E', 'E']"),
+            (lambda: Structure(Signature(()), -1, ()), DomainError, "size must be non-negative"),
+            (lambda: Companion(2, (0, 0), ()), DomainError,
+             "order must be a permutation of the domain"),
+            (lambda: PartialMap(((0, 1), (0, 2))), DomainError,
+             "partial map has a repeated source"),
+            (lambda: ChainOrderFamily(frozenset(), ((0, 1),)), DomainError,
+             "family is not closed under reversal: (0, 1) is in, (1, 0) is not"),
+            (lambda: LiteralType((), (), 0), DomainError,
+             "literal type needs at least one variable"),
+            (lambda: QfDefinitionSet((("E", 2, ()), ("E", 2, ()))), DomainError,
+             "duplicate symbols in definition set"),
+            (lambda: corpus.RandomSpec(seed=0, size=3, density=2.0), DomainError,
+             "density must lie in [0, 1]"),
+            (lambda: And(Eq("u", "v")), FormulaError, "And needs at least two parts, got 1"),
+            (lambda: Or(), FormulaError, "Or needs at least two parts, got 0"),
+        ],
+        ids=lambda v: v.__name__ if isinstance(v, type) else None,
+    )
+    def test_validation_keeps_its_messages(self, build, error, message):
+        with pytest.raises(error) as excinfo:
+            build()
+        assert str(excinfo.value) == message

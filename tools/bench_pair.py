@@ -22,9 +22,15 @@ least-relabeling searches (misses of ``morphism._canonical_form_cached``) and
 the invariant orders derived (misses of ``morphism._subset_form``).  Counts
 repeat exactly; seconds do not.
 
+And it counts what each CLI verb loads: every case recorded in
+``perfbench/expected/cli.json`` runs through ``chainlab.cli.main`` in a fresh
+``python -S`` process per side, which then reports its exit code, the size of
+``sys.modules`` and whether ``dataclasses`` and ``inspect`` are among them.
+
 The JSON written has ``command``, ``host``, ``parent``, ``change``,
-``src.lines``, ``profile_cache``, ``workloads`` (every pair's results, keys in
-the order the sides ran) and ``medians`` (per side and metric).
+``src.lines``, ``profile_cache``, ``start_path``, ``workloads`` (every pair's
+results, keys in the order the sides ran) and ``medians`` (per side and
+metric).
 """
 
 from __future__ import annotations
@@ -64,6 +70,22 @@ for y in ys:
 print(json.dumps({
     "misses": morphism._canonical_form_cached.cache_info().misses,
     "orders": morphism._subset_form.cache_info().misses,
+}))
+"""
+
+# Runs in a side's golden directory: one recorded CLI case, then what the
+# process has imported.  -S keeps site hooks out of the count.
+START_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1] + "/src")
+import chainlab.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = chainlab.cli.main(sys.argv[2:])
+print(json.dumps({
+    "code": code,
+    "modules": len(sys.modules),
+    "dataclasses": "dataclasses" in sys.modules,
+    "inspect": "inspect" in sys.modules,
 }))
 """
 
@@ -114,6 +136,20 @@ def profile_cache(root: Path, seed: int, count: int) -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
 
+def start_path(root: Path) -> dict:
+    """START_PROBE's report on every recorded CLI case, keyed by its command
+    line; placeholders are filled as perfbench fills them."""
+    recorded = json.loads((ROOT / "perfbench" / "expected" / "cli.json").read_text())
+    formula = (root / "tests" / "golden" / "formula.txt").read_text()
+    out = {}
+    for case in recorded["cases"] + recorded["gen"]:
+        args = [formula if a == "@formula.txt" else a.replace("@bench", str(root / "perfbench")) for a in case["args"]]
+        argv = [sys.executable, "-S", "-c", START_PROBE, str(root), *args]
+        run = subprocess.run(argv, cwd=root / "tests" / "golden", check=True, stdout=subprocess.PIPE, text=True)
+        out[" ".join(case["args"])] = json.loads(run.stdout.strip().splitlines()[-1])
+    return out
+
+
 def medians(pairs: list[dict]) -> dict:
     out = {}
     for side in SIDES:
@@ -158,6 +194,16 @@ def main() -> None:
             **{side: profile_cache(roots[side], args.seed, PROFILE_STRUCTURES) for side in SIDES},
         }
         print(f"profile cache: {doc['profile_cache']}", file=sys.stderr)
+        doc["start_path"] = {
+            "what": "each case of perfbench/expected/cli.json run through chainlab.cli.main in a fresh "
+            "'python -S' process: its exit code, len(sys.modules) after the verb, and whether "
+            "dataclasses and inspect are loaded",
+            **{side: start_path(roots[side]) for side in SIDES},
+        }
+        for side in SIDES:
+            counts = sorted({r["modules"] for r in doc["start_path"][side].values()})
+            loaded = sum(r["dataclasses"] for r in doc["start_path"][side].values())
+            print(f"start path {side}: modules {counts}, dataclasses in {loaded} cases", file=sys.stderr)
         doc["workloads"] = {}
         for workload in workloads:
             pairs = []
