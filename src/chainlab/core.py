@@ -285,9 +285,11 @@ def validate_companion_axioms(x: Companion) -> tuple[bool, bool, bool, bool]:
     return (is_linear, distinct, ordered, initial)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def companion_as_structure(x: Companion) -> Structure:
     """The companion, viewed as a relational structure over the reserved
-    language: binary "R" (strict order) plus one unary "U<j>" per constant."""
+    language: binary "R" (strict order) plus one unary "U<j>" per constant.
+    Memoised: equal companions get the one (immutable) structure."""
     pairs = [("R", 2)] + [(f"U{j}", 1) for j in range(len(x.constants))]
     rels: dict[str, set] = {"R": set(itertools.combinations(x.order, 2))}
     for j, c in enumerate(x.constants):

@@ -154,7 +154,7 @@ def eval_formula(f: Formula, y: Structure, assignment: dict[str, int]) -> bool:
                 raise FormulaError(
                     f"atom {node.symbol!r} has {len(node.args)} arguments, arity is {arity}"
                 )
-            return tuple(env[a] for a in node.args) in tuples
+            return tuple(map(env.__getitem__, node.args)) in tuples
         if kind is Not:
             return not run(node.body)
         if kind is And or kind is Or:

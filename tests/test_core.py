@@ -11,6 +11,7 @@ from chainlab.core import (
     Record,
     Signature,
     Structure,
+    companion_as_structure,
     companion_from_dict,
     companion_structure,
     induced_substructure,
@@ -197,6 +198,15 @@ class TestCompanion:
     def test_rest_property(self):
         x = companion_structure(5, (4,), (0, 2, 1, 3))
         assert x.rest == (0, 2, 1, 3)
+
+    def test_equal_companions_share_one_structure(self):
+        x = companion_structure(4, (2,), (0, 3, 1))
+        twin = Companion(4, (2, 0, 3, 1), (2,))
+        assert twin == x and twin is not x
+        xs = companion_as_structure(x)
+        assert companion_as_structure(twin) is xs
+        assert xs.relation("U0") == {(2,)} and len(xs.relation("R")) == 6
+        assert companion_as_structure(companion_structure(4, (), (2, 0, 3, 1))) is not xs
 
 
 class TestSerialization:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from chainlab import corpus
+from chainlab import corpus, logic
 from chainlab.chainability import ChainWitness, age_representatives, is_chainable_with
 from chainlab.core import (
     Signature,
@@ -13,7 +13,7 @@ from chainlab.core import (
     structure,
 )
 from chainlab.errors import DomainError, NotSimplyDefinableError
-from chainlab.formulas import Eq, Exists, Not, Rel, eval_formula, format_formula
+from chainlab.formulas import Eq, Exists, Not, Rel, and_all, eval_formula, format_formula
 from chainlab.logic import (
     LiteralType,
     age_sentence,
@@ -97,6 +97,73 @@ class TestLiteralType:
             "(and (and (and (and (not (= v0 v1)) (rel R v0 v1)) "
             "(not (rel R v1 v0))) (rel U0 v0)) (not (rel U0 v1)))"
         )
+
+    def test_out_of_range_entry_rejected(self):
+        x = companion_structure(3, (0,), (1, 2))
+        for point, entry in (((0, 3), 3), ([-1, 2], -1)):
+            with pytest.raises(DomainError) as info:
+                literal_type(x, point)
+            assert str(info.value) == f"tuple entry {entry} leaves the domain of size 3"
+
+
+class TestMemos:
+    """The literal-type reader, the rendered-type cache and the companion
+    structure cache change no output, so these tests count their work."""
+
+    @staticmethod
+    def _all_types(x, arity):
+        return {literal_type(x, p) for p in itertools.product(range(x.size), repeat=arity)}
+
+    def test_memoised_render_equals_a_fresh_one(self):
+        x = companion_structure(3, (1,), (2, 0))
+        for arity in (1, 2, 3):
+            names = [f"w{i}" for i in range(arity)]
+            for t in sorted(self._all_types(x, arity), key=LiteralType.sort_key):
+                k = range(arity)
+                lits = [Eq(names[i], names[j]) if t.block_of[i] == t.block_of[j]
+                        else Not(Eq(names[i], names[j])) for i, j in itertools.combinations(k, 2)]
+                lits += [Rel("R", (names[i], names[j])) if t.block_of[i] < t.block_of[j]
+                         else Not(Rel("R", (names[i], names[j]))) for i, j in itertools.permutations(k, 2)]
+                lits += [Rel("U0", (names[i],)) if t.marks[t.block_of[i]] == 0
+                         else Not(Rel("U0", (names[i],))) for i in k]
+                fresh = and_all(lits)
+                assert render_literal_type(t, names) == fresh
+                assert render_literal_type(t, tuple(names)) is render_literal_type(t, names)
+
+    def test_wrong_length_raises_on_every_call(self):
+        t = literal_type(companion_structure(3, (), (0, 1, 2)), (0, 1))
+        size = logic._rendered_type.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(DomainError) as info:
+                render_literal_type(t, ["v0", "v1", "v2"])
+            assert str(info.value) == "type over 2 variables rendered with 3 names"
+        assert logic._rendered_type.cache_info().currsize == size
+
+    def test_second_definition_formula_is_all_cache_hits(self):
+        x = companion_structure(3, (0,), (2, 1))
+        types = self._all_types(x, 2)
+        defs = make_definition_set([("E", 2, types)])
+        logic._rendered_type.cache_clear()
+        first = definition_formula(defs, "E", ["v0", "v1"])
+        assert logic._rendered_type.cache_info()[:2] == (0, len(types))
+        assert definition_formula(defs, "E", ("v0", "v1")) == first
+        assert logic._rendered_type.cache_info()[:2] == (len(types), len(types))
+
+    def test_one_type_reader_per_call(self, monkeypatch):
+        built = [0]
+        reader = logic._type_reader
+
+        def counted(x):
+            built[0] += 1
+            return reader(x)
+
+        monkeypatch.setattr(logic, "_type_reader", counted)
+        y = structure(3, {"E": [(0, 1), (1, 2), (0, 2)], "U": [(0,)]}, [("E", 2), ("U", 1)])
+        x = companion_structure(3, (0,), (1, 2))
+        defs = extract_definitions(x, y)
+        assert built[0] == 1
+        assert apply_definitions(x, defs, y.sig) == y
+        assert built[0] == 2
 
 
 class TestExtraction:

@@ -27,10 +27,16 @@ And it counts what each CLI verb loads: every case recorded in
 ``python -S`` process per side, which then reports its exit code, the size of
 ``sys.modules`` and whether ``dataclasses`` and ``inspect`` are among them.
 
+And it times the definability round trip of corpus-sweep: extract, apply
+and verify on every chainable witness of every binary class on <= 3 points,
+in a fresh process per side, ROUND_TRIP_PASSES times over.  It reports each
+pass's seconds, the ``eval_formula`` calls of one pass, and the rendered-type
+cache's ``cache_info()`` after the timed passes, on a side that has one.
+
 The JSON written has ``command``, ``host``, ``parent``, ``change``,
-``src.lines``, ``profile_cache``, ``start_path``, ``workloads`` (every pair's
-results, keys in the order the sides ran) and ``medians`` (per side and
-metric).
+``src.lines``, ``profile_cache``, ``start_path``, ``round_trip``,
+``workloads`` (every pair's results, keys in the order the sides ran) and
+``medians`` (per side and metric).
 """
 
 from __future__ import annotations
@@ -90,6 +96,51 @@ print(json.dumps({
 """
 
 
+# Runs in a side's tree: the round trips of the corpus-sweep classes on <= 3
+# points, timed pass by pass, then one more pass with ``eval_formula`` counted.
+ROUND_TRIP_PROBE = """
+import json, sys, time
+root, passes = sys.argv[1], int(sys.argv[2])
+sys.path.insert(0, root + "/src")
+from chainlab import chainability, corpus, logic, verify
+cases = []
+for m in range(4):
+    witnesses = verify.all_witnesses(m)
+    for mask in corpus.binary_masks_up_to_iso(m):
+        y = corpus.structure_from_mask(m, mask)
+        cases += [(chainability.witness_companion(w), y) for w in witnesses if chainability.is_chainable_with(y, w)]
+
+def round_trips():
+    ok = True
+    for x, y in cases:
+        defs = logic.extract_definitions(x, y)
+        ok = ok and logic.apply_definitions(x, defs, y.sig) == y and logic.verify_definitions(x, y, defs)
+    return ok
+
+seconds = []
+for _ in range(passes):
+    start = time.perf_counter()
+    ok = round_trips()
+    seconds.append(round(time.perf_counter() - start, 4))
+cache = getattr(logic, "_rendered_type", None)
+calls = [0]
+evaluate = logic.eval_formula
+def counted(*args):
+    calls[0] += 1
+    return evaluate(*args)
+logic.eval_formula = counted
+round_trips()
+print(json.dumps({
+    "round_trips": len(cases),
+    "ok": ok,
+    "seconds": seconds,
+    "eval_formula_calls": calls[0],
+    "render_cache": cache.cache_info()._asdict() if cache else None,
+}))
+"""
+ROUND_TRIP_PASSES = 10
+
+
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, stdout=subprocess.PIPE, text=True).stdout.strip()
 
@@ -130,8 +181,9 @@ def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
 
-def profile_cache(root: Path, seed: int, count: int) -> dict:
-    argv = [sys.executable, "-c", PROFILE_PROBE, str(root), str(seed), str(count)]
+def probe(root: Path, code: str, *args: object) -> dict:
+    """The JSON report of a probe run in ``root`` in a fresh process."""
+    argv = [sys.executable, "-c", code, str(root), *map(str, args)]
     out = subprocess.run(argv, cwd=root, check=True, stdout=subprocess.PIPE, text=True).stdout
     return json.loads(out.strip().splitlines()[-1])
 
@@ -191,7 +243,7 @@ def main() -> None:
             "what": f"least-relabeling searches ('misses', of morphism._canonical_form_cached) and invariant "
             f"orders derived ('orders', misses of morphism._subset_form) of profile(y, |y|) on the first "
             f"{PROFILE_STRUCTURES} planted-search structures, seed {args.seed}, every morphism cache cleared first",
-            **{side: profile_cache(roots[side], args.seed, PROFILE_STRUCTURES) for side in SIDES},
+            **{side: probe(roots[side], PROFILE_PROBE, args.seed, PROFILE_STRUCTURES) for side in SIDES},
         }
         print(f"profile cache: {doc['profile_cache']}", file=sys.stderr)
         doc["start_path"] = {
@@ -204,6 +256,14 @@ def main() -> None:
             counts = sorted({r["modules"] for r in doc["start_path"][side].values()})
             loaded = sum(r["dataclasses"] for r in doc["start_path"][side].values())
             print(f"start path {side}: modules {counts}, dataclasses in {loaded} cases", file=sys.stderr)
+        doc["round_trip"] = {
+            "what": f"extract_definitions, apply_definitions and verify_definitions on every chainable witness "
+            f"of every binary class on <= 3 points (the small corpus-sweep cases), in a fresh process: seconds of "
+            f"each of {ROUND_TRIP_PASSES} passes, eval_formula calls of one pass, and logic._rendered_type's "
+            f"cache_info() after the timed passes (null on a side without that cache)",
+            **{side: probe(roots[side], ROUND_TRIP_PROBE, ROUND_TRIP_PASSES) for side in SIDES},
+        }
+        print(f"round trip: {doc['round_trip']}", file=sys.stderr)
         doc["workloads"] = {}
         for workload in workloads:
             pairs = []
