@@ -162,9 +162,9 @@ def _cmd_age_sentence(args) -> dict:
     doc = {"formula": format_formula(sentence)}
     if args.eval_on is not None:
         y = load_structure(args.eval_on)
-        value = eval_formula(sentence, y, {})
-        doc["value"] = value
+        # Checked first: it refuses a foreign or oversized y before evaluation.
         doc["agree"] = check_age_sentence_agreement(family, keep, y)
+        doc["value"] = eval_formula(sentence, y, {})
     return doc
 
 
@@ -197,11 +197,8 @@ def _cmd_gen(args) -> dict:
 def _cmd_verify(args) -> dict:
     from . import verify
 
-    results = verify.run_suites(only=args.only, seed=args.seed, cases=args.cases)
-    return {
-        "suites": [r.to_dict() for r in results],
-        "ok": all(r.ok for r in results),
-    }
+    suites = verify.run_suites(only=args.only, seed=args.seed, cases=args.cases)
+    return {"suites": suites, "ok": all(r["ok"] for r in suites)}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -27,7 +27,7 @@ from .core import (
     validate_companion_axioms,
     words,
 )
-from .errors import DomainError, NotSimplyDefinableError
+from .errors import DomainError, NotSimplyDefinableError, UnsupportedSizeError
 from .formulas import (
     And,
     Eq,
@@ -349,7 +349,7 @@ def _validate_family(family: Sequence[Structure], keep: Iterable[str]) -> tuple[
     if n < 1:
         raise DomainError("family members must be non-empty structures")
     if n > AGE_SENTENCE_SIZE_CAP:
-        raise DomainError(
+        raise UnsupportedSizeError(
             f"age sentences enumerate all {n}! variable orders; size capped at "
             f"{AGE_SENTENCE_SIZE_CAP}"
         )
@@ -379,7 +379,11 @@ def age_sentence(family: Sequence[Structure], keep: Iterable[str]) -> Formula:
     Built as: for each member, some n distinct points match it; and every n
     distinct points match some member.
     """
-    n, keep_list = _validate_family(family, keep)
+    return _age_sentence(family, *_validate_family(family, keep))
+
+
+def _age_sentence(family: Sequence[Structure], n: int, keep_list: list[str]) -> Formula:
+    """``age_sentence`` of a family that ``_validate_family`` accepted."""
     variables = [f"v{i}" for i in range(n)]
     matchers = [_match_formula(k, keep_list, variables) for k in family]
     parts: list[Formula] = [_closed(Exists, variables, phi) for phi in matchers]
@@ -401,11 +405,12 @@ def check_age_sentence_agreement(
     n, keep_list = _validate_family(family, keep)
     if y.sig != family[0].sig:
         raise DomainError("structure under test must share the family signature")
-    by_formula = eval_formula(age_sentence(family, keep_list), y, {})
     family_forms = {canonical_form(reduct(k, keep_list)) for k in family}
     # Reduct commutes with restriction, so these are the kept-symbol types
-    # of the n-element substructures of y.
+    # of the n-element substructures of y.  Listing them first refuses an
+    # oversized y before the sentence is evaluated on it.
     realized = set(substructure_forms(reduct(y, keep_list), n).values())
+    by_formula = eval_formula(_age_sentence(family, n, keep_list), y, {})
     return by_formula == (realized == family_forms)
 
 

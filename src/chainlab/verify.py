@@ -1,11 +1,13 @@
 """Named invariant suites: exhaustive at small scale, seeded beyond.
 
 ``SUITES`` maps each suite name to one function that takes the run's shared
-corpora and the suite's own generator, builds its inputs and returns
-``(cases, failures)``.  The corpora that several suites read (the small
-binary corpus, its reduction-oracle sweep and the enumerated chaining-order
-families) are built at most once per ``run_suites`` call.  The public checks
-are scope-parameterized, so the acceptance tests rerun them over their own,
+corpora and the suite's own generator, builds its inputs and yields one
+outcome per case: ``True`` when it passes, else the failure message.  The
+public checks yield outcomes the same way, and ``tally`` alone counts them.
+The corpora that several suites read (the small binary corpus, its
+reduction-oracle sweep and the enumerated chaining-order families) are built
+at most once per ``run_suites`` call.  The public checks are
+scope-parameterized, so the acceptance tests rerun them over their own,
 larger corpora.  Every dual-route check keeps its two sides separate: the
 type-purity chainability decision is compared against full-map enumeration,
 branch-and-bound canonical forms against the scan of all relabelings,
@@ -18,9 +20,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, wraps
-from typing import Callable, Iterable, Iterator, Sequence
+from functools import cached_property, lru_cache
+from typing import Callable, Iterable, Sequence
 
 from .chainability import (
     ChainWitness,
@@ -98,26 +99,6 @@ from .morphism import (
 VERIFY_CASES_CAP = 5000
 """The largest ``cases`` that ``run_suites`` accepts.  Most suites grow
 linearly with it; all 22 take 21–23 s at the cap on a 2-core host."""
-
-
-@dataclass
-class SuiteResult:
-    name: str
-    cases: int
-    failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "cases": self.cases,
-            "failures": len(self.failures),
-            "examples": self.failures[:5],
-            "ok": self.ok,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -305,56 +286,42 @@ def _subsignatures(sig: Signature) -> list[list[str]]:
     return out
 
 
-def _tallied(
-    outcomes: Callable[..., Iterator[bool | str]]
-) -> Callable[..., tuple[int, list[str]]]:
-    """Turn a generator that yields, for each case, True when it passes and
-    a failure message when it fails into a check that returns
-    ``(cases, failures)``."""
-
-    @wraps(outcomes)
-    def check(*args, **kwargs) -> tuple[int, list[str]]:
-        results = list(outcomes(*args, **kwargs))
-        return len(results), [r for r in results if r is not True]
-
-    return check
+def tally(outcomes: Iterable[bool | str]) -> tuple[int, list[str]]:
+    """``(cases, failures)`` of a check's outcomes, each True for a case that
+    passes and the failure message for one that fails."""
+    results = list(outcomes)
+    return len(results), [r for r in results if r is not True]
 
 
 # ---------------------------------------------------------------------------
 # Scope-parameterized checks (reused by the acceptance tests)
 
 
-@dataclass
-class SweepOutcome:
-    cases: int
-    failures: list[str]
-    chainable: list[tuple[Structure, ChainWitness]]
-
-
-def reduction_oracle_sweep(structures: Iterable[Structure]) -> SweepOutcome:
+def reduction_oracle_sweep(
+    structures: Iterable[Structure],
+) -> tuple[list[bool | str], list[tuple[Structure, ChainWitness]]]:
     """Compare the type-purity chainability decision against the full-map
-    oracle on every (frozen set, order) pair of every structure, collecting
-    the chainable pairs for downstream checks."""
+    oracle on every (frozen set, order) pair of every structure: the
+    outcomes, and the chainable pairs for downstream checks."""
     return _decision_sweep((y, w) for y in structures for w in all_witnesses(y.size))
 
 
-def _decision_sweep(pairs: Iterable[tuple[Structure, ChainWitness]]) -> SweepOutcome:
-    outcome = SweepOutcome(0, [], [])
+def _decision_sweep(
+    pairs: Iterable[tuple[Structure, ChainWitness]],
+) -> tuple[list[bool | str], list[tuple[Structure, ChainWitness]]]:
+    outcomes, chainable = [], []
     for y, w in pairs:
-        outcome.cases += 1
         decision = is_chainable_with(y, w)
         full = chainable_full(y, w)
-        if decision != full:
-            outcome.failures.append(
-                f"decision={decision} full={full} on {y.relations} with "
-                f"F={sorted(w.f_set)} order={w.rest_order}"
-            )
-        elif decision:
-            outcome.chainable.append((y, w))
-    return outcome
+        outcomes.append(decision == full or (
+            f"decision={decision} full={full} on {y.relations} with "
+            f"F={sorted(w.f_set)} order={w.rest_order}"
+        ))
+        if decision and full:
+            chainable.append((y, w))
+    return outcomes, chainable
 
 
-@_tallied
 def roundtrip_check(pairs: Iterable[tuple[Structure, ChainWitness]]):
     """Definability round trip on chainable pairs: extraction must succeed,
     applying the definitions must rebuild the structure bit-exactly, and the
@@ -374,7 +341,6 @@ def roundtrip_check(pairs: Iterable[tuple[Structure, ChainWitness]]):
             )
 
 
-@_tallied
 def profile_bound_check(structures: Iterable[Structure]):
     """Kernel size k must bound every profile value by 2**k."""
     for y in structures:
@@ -390,7 +356,6 @@ def profile_bound_check(structures: Iterable[Structure]):
             )
 
 
-@_tallied
 def trace_check(pairs: Iterable[tuple[Structure, ChainWitness]]):
     """Equal frozen-set traces must give isomorphic substructures, for every
     chainable pair and every substructure size."""
@@ -402,23 +367,19 @@ def trace_check(pairs: Iterable[tuple[Structure, ChainWitness]]):
             )
 
 
-@_tallied
 def age_sentence_check(
-    structures: Sequence[Structure],
-    rng: random.Random,
-    max_n: int,
-    foreign_fraction: float,
+    structures: Sequence[Structure], rng: random.Random, foreign_fraction: float
 ):
     """Sentence evaluation must agree with direct age comparison.
 
     Each structure is tested against its own age representatives for every
-    substructure size up to ``max_n`` and every sub-signature; a fraction of
+    substructure size up to 3 and every sub-signature; a fraction of
     the structures is additionally tested against a foreign family (the ages
     of a reference chain over the same signature), exercising the negative
     branch of the agreement.
     """
     for y in structures:
-        for n in range(1, min(max_n, y.size) + 1):
+        for n in range(1, min(3, y.size) + 1):
             families = [age_representatives(y, n)]
             if rng.random() < foreign_fraction and y.sig == Signature((("E", 2),)):
                 families.append(age_representatives(chain_structure(max(y.size, n), "E"), n))
@@ -429,7 +390,6 @@ def age_sentence_check(
                     )
 
 
-@_tallied
 def star_translation_check(seed: int, cases: int):
     """Evaluating a translated formula on the companion must match evaluating
     the original on the structure the definitions generate."""
@@ -451,12 +411,11 @@ def star_translation_check(seed: int, cases: int):
 
 def reversal_closure_check(
     scope: Iterable[tuple[Structure, frozenset[int]]]
-) -> tuple[int, list[str], list[ChainOrderFamily]]:
+) -> tuple[list[bool | str], list[ChainOrderFamily]]:
     """Enumerate each chaining-order family directly (no family constructor
-    involved) and confirm membership is reversal-invariant."""
-    cases = 0
-    failures = []
-    families = []
+    involved) and confirm membership is reversal-invariant: the outcomes, and
+    the nonempty families that pass."""
+    outcomes, families = [], []
     for y, f in scope:
         rest = sorted(set(range(y.size)) - f)
         orders = [
@@ -465,21 +424,19 @@ def reversal_closure_check(
             if is_chainable_with(y, ChainWitness(f, order))
         ]
         order_set = set(orders)
-        cases += 1
         bad = [o for o in orders if tuple(reversed(o)) not in order_set]
-        if bad:
-            failures.append(
-                f"family over F={sorted(f)} on {y.relations} lacks reverses of {bad[:3]}"
-            )
-        elif orders:
+        outcomes.append(not bad or (
+            f"family over F={sorted(f)} on {y.relations} lacks reverses of {bad[:3]}"
+        ))
+        if orders and not bad:
             families.append(ChainOrderFamily(f, tuple(orders)))
-    return cases, failures, families
+    return outcomes, families
 
 
-@_tallied
-def monomorphic_check(sizes: Iterable[int]):
-    """Linear orders must report an empty kernel and a profile identically 1."""
-    for m in sizes:
+def monomorphic_check():
+    """Linear orders on 3 to 7 points must report an empty kernel and a
+    profile identically 1."""
+    for m in range(3, 8):
         y = chain_structure(m)
         report = kernel(y, 1)
         if report.min_size != 0:
@@ -491,10 +448,9 @@ def monomorphic_check(sizes: Iterable[int]):
 
 # ---------------------------------------------------------------------------
 # Suite checks: each takes the run's shared corpora and the suite's own
-# generator, builds its inputs and returns ``(cases, failures)``
+# generator, builds its inputs and yields one outcome per case
 
 
-@_tallied
 def _restriction_composition_check(s: _Shared, rng: random.Random):
     corpus = s.small + fixture_structures() + random_structures(rng, s.cases // 10 + 1)
     for y in corpus:
@@ -507,7 +463,6 @@ def _restriction_composition_check(s: _Shared, rng: random.Random):
                 )
 
 
-@_tallied
 def _reduct_commute_check(s: _Shared, rng: random.Random):
     for y in random_structures(rng, max(s.cases // 5, 20), sizes=(3, 4, 5), symbols=(2,)):
         for _ in range(5):
@@ -519,7 +474,6 @@ def _reduct_commute_check(s: _Shared, rng: random.Random):
                 yield a == b or f"reduct/restrict mismatch on {y.relations}"
 
 
-@_tallied
 def _companion_axioms_check(s: _Shared, rng: random.Random):
     """The structural axiom check must hold exactly when the companion,
     read as a structure, satisfies the sentences of T*.  Only the
@@ -550,7 +504,6 @@ def _companion_axioms_check(s: _Shared, rng: random.Random):
     yield not validate_companion_axioms(stray)[3] or "initial-segment violation not detected"
 
 
-@_tallied
 def _pa_restriction_check(s: _Shared, rng: random.Random):
     for y in fixture_structures() + random_structures(rng, max(s.cases // 20, 5)):
         for p in enumerate_partial_automorphisms(y, min(y.size, 3)):
@@ -561,7 +514,6 @@ def _pa_restriction_check(s: _Shared, rng: random.Random):
                     )
 
 
-@_tallied
 def _pa_reversal_check(s: _Shared, rng: random.Random):
     for r in range(6):
         forward = chain_structure(r)
@@ -583,7 +535,6 @@ def _iso_witness_ok(a: Structure, b: Structure, p: PartialMap) -> bool:
     )
 
 
-@_tallied
 def _iso_canonical_check(s: _Shared, rng: random.Random):
     extra = random_structures(rng, max(s.cases // 10, 10))
     for m in (2, 3):
@@ -615,15 +566,14 @@ def _iso_canonical_check(s: _Shared, rng: random.Random):
             )
 
 
-def _reduction_oracle_check(s: _Shared, rng: random.Random) -> tuple[int, list[str]]:
+def _reduction_oracle_check(s: _Shared, rng: random.Random):
     """The shared sweep of the small corpus, then witnesses sampled on random
     structures of arity up to 3."""
     structures = random_structures(rng, max(s.cases // 10, 10), arity=(1, 3))
-    extra = _decision_sweep(_sampled_witnesses(rng, structures, 12))
-    return s.sweep.cases + extra.cases, s.sweep.failures + extra.failures
+    yield from s.sweep[0]
+    yield from _decision_sweep(_sampled_witnesses(rng, structures, 12))[0]
 
 
-@_tallied
 def _witness_reversal_check(s: _Shared, rng: random.Random):
     structures = s.small + random_structures(rng, max(s.cases // 20, 5))
     for y, w in _sampled_witnesses(rng, structures, 30):
@@ -633,13 +583,12 @@ def _witness_reversal_check(s: _Shared, rng: random.Random):
         )
 
 
-@_tallied
 def _monotonicity_check(s: _Shared, rng: random.Random):
     # Freezing an interior element of the order can break chainability (an
     # increasing singleton map may jump across the frozen point; the linear
     # order on three points witnesses this), so monotonicity only holds for
     # the endpoints of the witness order.
-    for y, w in s.sweep.chainable:
+    for y, w in s.sweep[1]:
         if not w.rest_order:
             continue
         for x in (w.rest_order[0], w.rest_order[-1]):
@@ -649,7 +598,6 @@ def _monotonicity_check(s: _Shared, rng: random.Random):
             )
 
 
-@_tallied
 def _age_transfer_check(s: _Shared, rng: random.Random):
     kernels = {y: kernel(y, y.size).min_size for y in s.small}
     pairs = [(z, y) for z in s.small for y in s.small if y.size >= z.size > 0]
@@ -663,12 +611,11 @@ def _age_transfer_check(s: _Shared, rng: random.Random):
             )
 
 
-@_tallied
 def _definability_roundtrip_check(s: _Shared, rng: random.Random):
     # The round trip on the chainable 3-point pairs, then its converse:
     # structures generated from random definitions are chainable over the
     # defining companion.
-    yield from roundtrip_check.__wrapped__([(y, w) for y, w in s.sweep.chainable if y.size == 3])
+    yield from roundtrip_check([(y, w) for y, w in s.sweep[1] if y.size == 3])
     for _ in range(max(s.cases, 100)):
         x, _, y = _generated(rng, Signature((("E", 2), ("U", 1))), 2)
         yield is_chainable_with(y, ChainWitness(frozenset(x.constants), x.rest)) or (
@@ -676,7 +623,6 @@ def _definability_roundtrip_check(s: _Shared, rng: random.Random):
         )
 
 
-@_tallied
 def _quotient_check(s: _Shared, rng: random.Random):
     sig = Signature((("E0", 2), ("E1", 2), ("U0", 1), ("U1", 1)))
     mapping = {"E1": "E0", "U1": "U0"}
@@ -701,7 +647,6 @@ def _quotient_check(s: _Shared, rng: random.Random):
         yield same or f"quotient translation changed truth on {z.relations}"
 
 
-@_tallied
 def _literal_type_partition_check(s: _Shared, rng: random.Random):
     """Type equality must coincide with satisfying the same companion
     literals, on every companion on 1 to 3 points (each permutation split
@@ -745,9 +690,8 @@ def _literal_type_partition_check(s: _Shared, rng: random.Random):
             )
 
 
-@_tallied
 def _classification_check(s: _Shared, rng: random.Random):
-    for fam in s.reversal[2]:
+    for fam in s.reversal[1]:
         cls = classify_family(fam)
         if cls.tag == "Unmatched":
             yield f"unmatched family over F={sorted(fam.f_set)}: {fam.sorted_orders()[:4]}"
@@ -758,16 +702,14 @@ def _classification_check(s: _Shared, rng: random.Random):
             )
 
 
-@_tallied
 def _presentation_check(s: _Shared, rng: random.Random):
-    for fam in s.reversal[2]:
+    for fam in s.reversal[1]:
         shuffled = list(fam.orders)
         rng.shuffle(shuffled)
         same = classify_family(ChainOrderFamily(fam.f_set, tuple(shuffled))) == classify_family(fam)
         yield same or f"classification depends on presentation over F={sorted(fam.f_set)}"
 
 
-@_tallied
 def _named_fixture_check(s: _Shared, rng: random.Random):
     chain_family = enumerate_chaining_orders(chain_structure(5), [])
     chain_class = classify_family(chain_family)
@@ -811,11 +753,11 @@ class _Shared:
         return small_binary_corpus()
 
     @cached_property
-    def sweep(self) -> SweepOutcome:
+    def sweep(self) -> tuple[list[bool | str], list[tuple[Structure, ChainWitness]]]:
         return reduction_oracle_sweep(self.small)
 
     @cached_property
-    def reversal(self) -> tuple[int, list[str], list[ChainOrderFamily]]:
+    def reversal(self) -> tuple[list[bool | str], list[ChainOrderFamily]]:
         """The reversal-closure check over every frozen set of the small
         corpus, four named structures over {} and {0}, and random 4- and
         5-point structures over {}."""
@@ -835,9 +777,8 @@ class _Shared:
         return reversal_closure_check(scope)
 
 
-# Each suite, from the shared corpora and its own generator to
-# ``(cases, failures)``.
-SUITES: dict[str, Callable[[_Shared, random.Random], tuple[int, list[str]]]] = {
+# Each suite, from the shared corpora and its own generator to its outcomes.
+SUITES: dict[str, Callable[[_Shared, random.Random], Iterable[bool | str]]] = {
     "core-restriction-composition": _restriction_composition_check,
     "core-reduct-commute": _reduct_commute_check,
     "companion-axioms": _companion_axioms_check,
@@ -850,7 +791,7 @@ SUITES: dict[str, Callable[[_Shared, random.Random], tuple[int, list[str]]]] = {
     "profile-bound": lambda s, rng: profile_bound_check(
         s.small + fixture_structures() + random_structures(rng, max(s.cases // 20, 5))
     ),
-    "trace-isomorphism": lambda s, rng: trace_check(s.sweep.chainable + _fixture_witnesses()),
+    "trace-isomorphism": lambda s, rng: trace_check(s.sweep[1] + _fixture_witnesses()),
     "age-transfer": _age_transfer_check,
     "definability-roundtrip": _definability_roundtrip_check,
     "star-translation": lambda s, rng: star_translation_check(
@@ -861,28 +802,25 @@ SUITES: dict[str, Callable[[_Shared, random.Random], tuple[int, list[str]]]] = {
         [y for y in s.small if y.size in (2, 3)]
         + rng.sample(all_binary_structures(4), min(30, s.cases)),
         rng,
-        3,
         0.3,
     ),
     "literal-type-partition": _literal_type_partition_check,
-    "family-reversal-closure": lambda s, rng: s.reversal[:2],
+    "family-reversal-closure": lambda s, rng: s.reversal[0],
     "classification-soundness": _classification_check,
     "classification-presentation-invariance": _presentation_check,
-    "monomorphic-chains": lambda s, rng: monomorphic_check(range(3, 8)),
+    "monomorphic-chains": lambda s, rng: monomorphic_check(),
     "named-fixtures": _named_fixture_check,
 }
 
-def run_suites(
-    only: str | None = None, seed: int = 0, cases: int = 100
-) -> list[SuiteResult]:
+
+def run_suites(only: str | None = None, seed: int = 0, cases: int = 100) -> list[dict]:
     """Run the registered suites (or just one), each with its own generator
-    derived from the seed and its name, over corpora shared within the call.
-    ``cases`` scales the seeded part of each suite and must lie in
-    0..``VERIFY_CASES_CAP``."""
+    derived from the seed and its name, over corpora shared within the call,
+    and report each suite's ``name``, ``cases``, ``failures``, first five
+    failure ``examples`` and ``ok``.  ``cases`` scales the seeded part of
+    each suite and must lie in 0..``VERIFY_CASES_CAP``."""
     if only is not None and only not in SUITES:
-        raise DomainError(
-            f"unknown suite {only!r}; known: {', '.join(sorted(SUITES))}"
-        )
+        raise DomainError(f"unknown suite {only!r}; known: {', '.join(sorted(SUITES))}")
     if cases < 0:
         raise DomainError(f"cases must be at least 0, got {cases}")
     if cases > VERIFY_CASES_CAP:
@@ -890,9 +828,11 @@ def run_suites(
             f"cases {cases} exceeds verify.VERIFY_CASES_CAP ({VERIFY_CASES_CAP})"
         )
     shared = _Shared(seed, cases)
-    results = []
+    reports = []
     for name, check in SUITES.items():
         if only is None or name == only:
-            rng = random.Random(f"{seed}:{name}")
-            results.append(SuiteResult(name, *check(shared, rng)))
-    return results
+            n, failures = tally(check(shared, random.Random(f"{seed}:{name}")))
+            reports.append(dict(
+                name=name, cases=n, failures=len(failures), examples=failures[:5], ok=not failures
+            ))
+    return reports

@@ -30,27 +30,28 @@ def full_sweep():
     for m in range(5):
         structures.extend(corpus.all_binary_structures(m))
     start = time.monotonic()
-    outcome = verify.reduction_oracle_sweep(structures)
+    outcomes, chainable = verify.reduction_oracle_sweep(structures)
     elapsed = time.monotonic() - start
-    return structures, outcome, elapsed
+    return structures, outcomes, chainable, elapsed
 
 
 def test_criterion_1_reduction_oracle_equivalence(full_sweep):
-    structures, outcome, elapsed = full_sweep
-    ok = not outcome.failures and elapsed < 300.0
+    structures, outcomes, _, elapsed = full_sweep
+    cases, failures = verify.tally(outcomes)
+    ok = not failures and elapsed < 300.0
     report(
         "criterion 1 (reduction-oracle equivalence, all m<=4)",
         ok,
-        f"{len(structures)} structures, {outcome.cases} (F, order) pairs, "
-        f"{len(outcome.failures)} disagreements, {elapsed:.1f}s",
+        f"{len(structures)} structures, {cases} (F, order) pairs, "
+        f"{len(failures)} disagreements, {elapsed:.1f}s",
     )
-    assert not outcome.failures
+    assert not failures
     assert elapsed < 300.0
 
 
 def test_criterion_2_definability_round_trip(full_sweep):
-    _, outcome, _ = full_sweep
-    cases, failures = verify.roundtrip_check(outcome.chainable)
+    _, _, chainable, _ = full_sweep
+    cases, failures = verify.tally(verify.roundtrip_check(chainable))
     report(
         "criterion 2 (definability round trip on every chainable pair)",
         not failures,
@@ -60,8 +61,8 @@ def test_criterion_2_definability_round_trip(full_sweep):
 
 
 def test_criterion_3_profile_bound(full_sweep):
-    structures, _, _ = full_sweep
-    cases, failures = verify.profile_bound_check(structures)
+    structures, _, _, _ = full_sweep
+    cases, failures = verify.tally(verify.profile_bound_check(structures))
     report(
         "criterion 3 (profile bounded by 2^kernel)",
         not failures,
@@ -71,23 +72,23 @@ def test_criterion_3_profile_bound(full_sweep):
 
 
 def test_criterion_4_trace_isomorphism(full_sweep):
-    _, outcome, _ = full_sweep
-    cases, failures = verify.trace_check(outcome.chainable)
+    _, _, chainable, _ = full_sweep
+    cases, failures = verify.tally(verify.trace_check(chainable))
     report(
         "criterion 4 (equal traces give isomorphic substructures)",
         not failures,
-        f"{cases} checks over {len(outcome.chainable)} chainable pairs, "
+        f"{cases} checks over {len(chainable)} chainable pairs, "
         f"{len(failures)} violations",
     )
     assert not failures
 
 
 def test_criterion_5_age_sentence_agreement(full_sweep):
-    structures, _, _ = full_sweep
+    structures, _, _, _ = full_sweep
     rng = random.Random(5)
     extra = verify.random_structures(rng, 200, sizes=(5,), symbols=(1,), arity=(2, 2))
-    cases, failures = verify.age_sentence_check(
-        list(structures) + extra, rng=rng, max_n=3, foreign_fraction=0.15
+    cases, failures = verify.tally(
+        verify.age_sentence_check(list(structures) + extra, rng=rng, foreign_fraction=0.15)
     )
     report(
         "criterion 5 (age-sentence evaluator agrees with direct comparison)",
@@ -99,7 +100,7 @@ def test_criterion_5_age_sentence_agreement(full_sweep):
 
 
 def test_criterion_6_star_translation():
-    cases, failures = verify.star_translation_check(seed=20260810, cases=1000)
+    cases, failures = verify.tally(verify.star_translation_check(seed=20260810, cases=1000))
     report(
         "criterion 6 (star translation semantics)",
         not failures,
@@ -200,7 +201,8 @@ def test_criterion_8_reversal_closure():
     ]:
         scope.append((y, frozenset()))
         scope.append((y, frozenset({0})))
-    cases, failures, _ = verify.reversal_closure_check(scope)
+    outcomes, _ = verify.reversal_closure_check(scope)
+    cases, failures = verify.tally(outcomes)
     report(
         "criterion 8 (reversal closure of enumerated families)",
         not failures,
@@ -210,7 +212,7 @@ def test_criterion_8_reversal_closure():
 
 
 def test_criterion_9_monomorphic_chains():
-    cases, failures = verify.monomorphic_check(range(3, 8))
+    cases, failures = verify.tally(verify.monomorphic_check())
     report(
         "criterion 9 (linear orders: kernel 0, profile identically 1)",
         not failures,

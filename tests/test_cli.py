@@ -81,16 +81,23 @@ class TestExitCodes:
             "error": "domain_error",
         }
 
-    @pytest.mark.parametrize("verb, n, within", [("profile", 1, False), ("age", 2, False), ("age", 2, True)])
+    @pytest.mark.parametrize(
+        "verb, n, within",
+        [("profile", 1, False), ("age", 2, False), ("age", 2, True), ("age-sentence", 5, False)],
+    )
     def test_profile_and_age_on_a_huge_declared_size_are_unsupported_size(self, tmp_path, verb, n, within):
         # 10**12 points have more n-subsets than the subset budget; they are
-        # refused before any is listed.
+        # refused before any is listed (for age-sentence, before the sentence
+        # of the 5-point family is evaluated on them).
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({"signature": [{"name": "E", "arity": 2}], "size": 10**12}))
-        args = [verb, "--structure", str(path)]
+        if verb == "age-sentence":
+            args = [verb, "--family", "c5.json", "--eval-on", str(path)]
+        else:
+            args = [verb, "--structure", str(path)]
         if verb == "age":
             args += ["--n", str(n)] + (["--within", str(path)] if within else [])
-        result = run_cli(*args)
+        result = run_cli(*args, timeout=30)
         assert result.returncode == 1
         assert result.stderr == ""
         assert json.loads(result.stdout) == {
@@ -114,6 +121,31 @@ class TestExitCodes:
         result = run_cli("classify-orders", "--structure", str(path), "--f", "0,-1", timeout=30)
         assert result.returncode == 1
         assert json.loads(result.stdout)["error"] == "domain_error"
+
+    @pytest.mark.parametrize("keep", ["", "E"])
+    def test_age_sentence_on_a_foreign_signature_is_domain_error(self, keep):
+        # The signature is compared before the sentence is evaluated, so the
+        # kept symbols do not change the answer.
+        result = run_cli(
+            "age-sentence", "--family", "c5.json", "--keep", keep, "--eval-on", "unary5.json"
+        )
+        assert result.returncode == 1
+        assert result.stderr == ""
+        assert json.loads(result.stdout) == {
+            "detail": "structure under test must share the family signature",
+            "error": "domain_error",
+        }
+
+    def test_age_sentence_past_its_size_cap_is_unsupported_size(self, tmp_path):
+        path = tmp_path / "empty7.json"
+        path.write_text(json.dumps({"signature": [{"name": "E", "arity": 2}], "size": 7}))
+        result = run_cli("age-sentence", "--family", str(path))
+        assert result.returncode == 1
+        assert result.stderr == ""
+        assert json.loads(result.stdout) == {
+            "detail": "age sentences enumerate all 7! variable orders; size capped at 6",
+            "error": "unsupported_size",
+        }
 
     @pytest.mark.parametrize("assign", ["u=99,v=-3", "u=0,v=5", "u=-1,v=0"])
     def test_star_eval_assignment_outside_the_domain_is_domain_error(self, tmp_path, assign):
@@ -508,6 +540,7 @@ class TestImports:
         code = (
             "import sys\n"
             "from chainlab import cli, core, chainability, morphism, gpw, logic, formulas, corpus\n"
+            "from chainlab import verify\n"
             "assert not {'dataclasses', 'inspect'} & set(sys.modules), sorted(sys.modules)\n"
         )
         result = subprocess.run(

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from chainlab import corpus, logic
+from chainlab import corpus, logic, morphism
 from chainlab.chainability import ChainWitness, age_representatives, is_chainable_with
 from chainlab.core import (
     Signature,
@@ -279,6 +279,16 @@ class TestAgeSentence:
         sentence = age_sentence([edge_pair], ["E"])
         assert not eval_formula(sentence, empty, {})
         assert check_age_sentence_agreement([edge_pair], ["E"], empty)
+
+    def test_agreement_validates_the_family_once(self, c5, monkeypatch):
+        # Two forms validate the two members, two more are their kept reducts.
+        family = age_representatives(c5, 3)
+        assert len(family) == 2
+        calls = []
+        real = morphism.canonical_form
+        monkeypatch.setattr(morphism, "canonical_form", lambda y: calls.append(y) or real(y))
+        assert check_age_sentence_agreement(family, ["E"], c5)
+        assert len(calls) == 4
 
     def test_both_pair_types_on_cycle(self, c5):
         family = [corpus.path_structure(2), corpus.empty_relation_structure(2)]
