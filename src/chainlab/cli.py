@@ -153,18 +153,17 @@ def _cmd_star_eval(args) -> dict:
 
 
 def _cmd_age_sentence(args) -> dict:
-    from .formulas import eval_formula, format_formula
-    from .logic import age_sentence, check_age_sentence_agreement
+    from .formulas import format_formula
+    from .logic import _age_sentence, _age_sentence_verdict, _validate_family
 
     family = [load_structure(path) for path in _name_list(args.family)]
-    keep = _name_list(args.keep)
-    sentence = age_sentence(family, keep)
+    keep_list = _validate_family(family, _name_list(args.keep))
+    sentence = _age_sentence(family, keep_list)
     doc = {"formula": format_formula(sentence)}
     if args.eval_on is not None:
+        # The one evaluation, after a foreign or oversized y is refused.
         y = load_structure(args.eval_on)
-        # Checked first: it refuses a foreign or oversized y before evaluation.
-        doc["agree"] = check_age_sentence_agreement(family, keep, y)
-        doc["value"] = eval_formula(sentence, y, {})
+        doc["agree"], doc["value"] = _age_sentence_verdict(family, keep_list, sentence, y)
     return doc
 
 

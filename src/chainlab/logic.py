@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 from .core import (
     CACHE_SIZE,
+    SHARED_WORDS_CAP,
     Companion,
     Record,
     Signature,
@@ -207,13 +208,19 @@ def definition_formula(
 ) -> Formula:
     """The DNF definition of ``symbol`` instantiated at the given variable
     names.  An empty type set renders as an explicit contradiction."""
-    types = defs.types_for(symbol)
-    arity = next(a for name, a, _ in defs.entries if name == symbol)
-    if len(variables) != arity:
-        raise DomainError(f"{symbol!r} has arity {arity}, applied to {len(variables)} variables")
+    types = _types_at_arity(defs, symbol, len(variables))
     if not types:
         return falsum(variables[0])
     return or_all(render_literal_type(t, variables) for t in types)
+
+
+def _types_at_arity(defs: QfDefinitionSet, symbol: str, arity: int) -> tuple[LiteralType, ...]:
+    """The types defining ``symbol``, refused unless it has that arity."""
+    types = defs.types_for(symbol)
+    declared = next(a for name, a, _ in defs.entries if name == symbol)
+    if arity != declared:
+        raise DomainError(f"{symbol!r} has arity {declared}, applied to {arity} variables")
+    return types
 
 
 def _require_valid_companion(x: Companion) -> None:
@@ -277,19 +284,33 @@ def apply_definitions(
 
 
 def verify_definitions(x: Companion, y: Structure, defs: QfDefinitionSet) -> bool:
-    """Membership-by-formula check: for every symbol and every tuple, the
-    rendered DNF holds on the companion exactly when the tuple is in the
-    relation.  Independent of the structural type matching used by
-    apply_definitions."""
-    x_struct = companion_as_structure(x)
-    variables = [f"v{i}" for i in range(max(y.sig.max_arity(), 1))]
+    """Membership-by-formula check: for every symbol, the points of the
+    companion where some type of its definition, rendered as a formula, holds
+    are exactly the relation's tuples.  Every point is decided by
+    ``eval_formula``, so the check is independent of the structural type
+    matching used by apply_definitions.  Each type's points over a companion
+    are evaluated once and memoised while the companion has at most
+    SHARED_WORDS_CAP points of its arity."""
+    if x.size != y.size:
+        raise DomainError("companion and structure must share the domain")
     for (name, arity), tuples in zip(y.sig.symbols, y.relations):
-        phi = definition_formula(defs, name, variables[:arity])
-        for point in itertools.product(range(y.size), repeat=arity):
-            assignment = {variables[i]: point[i] for i in range(arity)}
-            if eval_formula(phi, x_struct, assignment) != (point in tuples):
-                return False
+        types = _types_at_arity(defs, name, arity)
+        memoised = x.size**arity <= SHARED_WORDS_CAP
+        points = _satisfying_points if memoised else _satisfying_points.__wrapped__
+        if set().union(*(points(x, t) for t in types)) != tuples:
+            return False
     return True
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _satisfying_points(x: Companion, t: LiteralType) -> tuple[tuple[int, ...], ...]:
+    """The points of ``x`` on which the rendering of ``t`` holds."""
+    x_struct = companion_as_structure(x)
+    variables = tuple(f"v{i}" for i in range(t.arity))
+    phi = render_literal_type(t, variables)
+    return tuple(
+        p for p in words(x.size, t.arity) if eval_formula(phi, x_struct, dict(zip(variables, p)))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +355,8 @@ def _match_formula(k: Structure, keep: Sequence[str], variables: list[str]) -> F
     return or_all(disjuncts)
 
 
-def _validate_family(family: Sequence[Structure], keep: Iterable[str]) -> tuple[int, list[str]]:
+def _validate_family(family: Sequence[Structure], keep: Iterable[str]) -> list[str]:
+    """The kept symbols in signature order, once the family is valid."""
     from .morphism import canonical_form
 
     if not family:
@@ -360,7 +382,7 @@ def _validate_family(family: Sequence[Structure], keep: Iterable[str]) -> tuple[
     unknown = set(keep) - set(sig.names)
     if unknown:
         raise DomainError(f"kept symbols not in the family signature: {sorted(unknown)}")
-    return n, keep_list
+    return keep_list
 
 
 def _closed(quantifier, variables: Sequence[str], body: Formula) -> Formula:
@@ -379,12 +401,12 @@ def age_sentence(family: Sequence[Structure], keep: Iterable[str]) -> Formula:
     Built as: for each member, some n distinct points match it; and every n
     distinct points match some member.
     """
-    return _age_sentence(family, *_validate_family(family, keep))
+    return _age_sentence(family, _validate_family(family, keep))
 
 
-def _age_sentence(family: Sequence[Structure], n: int, keep_list: list[str]) -> Formula:
+def _age_sentence(family: Sequence[Structure], keep_list: list[str]) -> Formula:
     """``age_sentence`` of a family that ``_validate_family`` accepted."""
-    variables = [f"v{i}" for i in range(n)]
+    variables = [f"v{i}" for i in range(family[0].size)]
     matchers = [_match_formula(k, keep_list, variables) for k in family]
     parts: list[Formula] = [_closed(Exists, variables, phi) for phi in matchers]
     disjunction = or_all(matchers)
@@ -400,18 +422,26 @@ def check_age_sentence_agreement(
     """Compare the sentence evaluator against the direct semantic check
     (set equality of canonical forms of kept-symbol substructure types).
     Any False is a construction bug, not a property of the inputs."""
+    keep_list = _validate_family(family, keep)
+    return _age_sentence_verdict(family, keep_list, _age_sentence(family, keep_list), y)[0]
+
+
+def _age_sentence_verdict(
+    family: Sequence[Structure], keep_list: list[str], sentence: Formula, y: Structure
+) -> tuple[bool, bool]:
+    """Whether the age sentence of a validated family agrees on ``y`` with
+    the direct check, and the sentence's value on ``y``."""
     from .morphism import canonical_form, substructure_forms
 
-    n, keep_list = _validate_family(family, keep)
     if y.sig != family[0].sig:
         raise DomainError("structure under test must share the family signature")
     family_forms = {canonical_form(reduct(k, keep_list)) for k in family}
     # Reduct commutes with restriction, so these are the kept-symbol types
     # of the n-element substructures of y.  Listing them first refuses an
     # oversized y before the sentence is evaluated on it.
-    realized = set(substructure_forms(reduct(y, keep_list), n).values())
-    by_formula = eval_formula(_age_sentence(family, n, keep_list), y, {})
-    return by_formula == (realized == family_forms)
+    realized = set(substructure_forms(reduct(y, keep_list), family[0].size).values())
+    value = eval_formula(sentence, y, {})
+    return value == (realized == family_forms), value
 
 
 # ---------------------------------------------------------------------------

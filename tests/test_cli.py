@@ -444,6 +444,23 @@ class TestVerbs:
         assert doc["agree"] is True
         assert doc["formula"].startswith("(and ")
 
+    def test_age_sentence_eval_builds_and_evaluates_the_sentence_once(self, monkeypatch, capsys):
+        from chainlab import cli, logic
+
+        calls = {"build": 0, "evaluate": 0}
+        build, evaluate = logic._age_sentence, logic.eval_formula
+
+        def counted(name, real):
+            return lambda *args: calls.__setitem__(name, calls[name] + 1) or real(*args)
+
+        monkeypatch.setattr(logic, "_age_sentence", counted("build", build))
+        monkeypatch.setattr(logic, "eval_formula", counted("evaluate", evaluate))
+        monkeypatch.chdir(GOLDEN)
+        assert cli.main(["age-sentence", "--family", "c5.json", "--eval-on", "c5.json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["agree"], doc["value"]) == (True, True)
+        assert calls == {"build": 1, "evaluate": 1}
+
     def test_gen_determinism(self):
         args = ("gen", "--seed", "7", "--size", "5", "--arity", "2", "--density", "0.4")
         first, second = run_cli(*args), run_cli(*args)

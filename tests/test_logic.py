@@ -236,6 +236,148 @@ class TestApplyDefinitions:
         assert verify_definitions(x, chain3, defs)
 
 
+def per_tuple_verdict(x, y, defs):
+    """verify_definitions as one evaluation of the whole DNF per tuple: the
+    reference the memoised point sets must agree with."""
+    x_struct = companion_as_structure(x)
+    variables = [f"v{i}" for i in range(max(y.sig.max_arity(), 1))]
+    for (name, arity), tuples in zip(y.sig.symbols, y.relations):
+        phi = definition_formula(defs, name, variables[:arity])
+        for point in itertools.product(range(y.size), repeat=arity):
+            if eval_formula(phi, x_struct, dict(zip(variables, point))) != (point in tuples):
+                return False
+    return True
+
+
+class TestVerifyDefinitions:
+    SIG = Signature((("E", 2), ("U", 1)))
+
+    @pytest.fixture
+    def case(self):
+        """A companion with one constant, a structure defined over it, and
+        its extracted definitions: every symbol has at least one type."""
+        x = companion_structure(4, (2,), (0, 3, 1))
+        order = x.order
+        at_most = [(a, b) for i, a in enumerate(order) for b in order[i:]]
+        y = structure(4, {"E": at_most, "U": [(2,)]}, self.SIG)
+        defs = extract_definitions(x, y)
+        assert all(types for _, _, types in defs.entries)
+        return x, y, defs
+
+    def test_definitions_of_another_structure_fail(self, case):
+        x, y, defs = case
+        greater = [(b, a) for a, b in y.relation("E") if a != b]
+        other = structure(4, {"E": greater, "U": [(0,), (1,), (3,)]}, self.SIG)
+        assert verify_definitions(x, y, defs)
+        assert not verify_definitions(x, other, defs)
+        assert not verify_definitions(x, y, extract_definitions(x, other))
+
+    def test_a_dropped_type_fails(self, case):
+        x, y, defs = case
+        for name, arity, types in defs.entries:
+            for dropped in types:
+                kept = [t for t in types if t != dropped]
+                entries = [(n, a, kept if n == name else ts) for n, a, ts in defs.entries]
+                assert not verify_definitions(x, y, make_definition_set(entries))
+
+    def test_a_foreign_type_fails(self, case):
+        x, y, defs = case
+        for name, arity, types in defs.entries:
+            realized = {literal_type(x, p) for p in itertools.product(range(4), repeat=arity)}
+            for foreign in realized - set(types):
+                entries = [(n, a, ts + (foreign,) if n == name else ts) for n, a, ts in defs.entries]
+                assert not verify_definitions(x, y, make_definition_set(entries))
+
+    def test_agrees_with_the_per_tuple_formula(self):
+        from chainlab.chainability import witness_companion
+        from chainlab.verify import all_witnesses, random_structures
+
+        rng = random.Random(26)
+        cases = []
+        for m in range(4):
+            for mask in corpus.binary_masks_up_to_iso(m):
+                y = corpus.structure_from_mask(m, mask)
+                cases += [(witness_companion(w), y) for w in all_witnesses(m)]
+        masks = corpus.binary_masks_up_to_iso(4)
+        witnesses = all_witnesses(4)
+        cases += [
+            (witness_companion(rng.choice(witnesses)), corpus.structure_from_mask(4, rng.choice(masks)))
+            for _ in range(300)
+        ]
+        for y in random_structures(rng, 60, sizes=(1, 2, 3, 4, 5), arity=(1, 3)):
+            cases.append((random_companion(rng, y.size, rng.randint(0, min(y.size, 2))), y))
+        outcomes = set()
+        for x, y in cases:
+            candidates = [random_definition_set(rng, x, y.sig)]
+            if is_chainable_with(y, ChainWitness(frozenset(x.constants), x.rest)):
+                candidates.append(extract_definitions(x, y))
+            for defs in candidates:
+                verdict = verify_definitions(x, y, defs)
+                assert verdict == per_tuple_verdict(x, y, defs), (x, y.relations, defs)
+                assert verify_definitions(x, apply_definitions(x, defs, y.sig), defs)
+                outcomes.add(verdict)
+        assert outcomes == {True, False}
+
+    def test_a_repeat_call_evaluates_no_formula(self, case, monkeypatch):
+        x, y, defs = case
+        calls = [0]
+        real = logic.eval_formula
+
+        def counted(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(logic, "eval_formula", counted)
+        logic._satisfying_points.cache_clear()
+        assert verify_definitions(x, y, defs)
+        # Each type is evaluated once on every point of its arity.
+        assert calls[0] == sum(len(types) * 4**arity for _, arity, types in defs.entries)
+        calls[0] = 0
+        assert verify_definitions(x, y, defs)
+        assert calls[0] == 0
+        types = sum(len(types) for _, _, types in defs.entries)
+        assert logic._satisfying_points.cache_info()[:2] == (types, types)
+
+    def test_points_past_the_shared_words_cap_are_not_stored(self):
+        # 9**3 points exceed SHARED_WORDS_CAP (512): evaluated, never memoised.
+        rng = random.Random(9)
+        x = random_companion(rng, 9, 1)
+        sig = Signature((("T", 3),))
+        defs = random_definition_set(rng, x, sig)
+        y = apply_definitions(x, defs, sig)
+        logic._satisfying_points.cache_clear()
+        assert verify_definitions(x, y, defs)
+        assert per_tuple_verdict(x, y, defs)
+        assert logic._satisfying_points.cache_info().currsize == 0
+        dropped = make_definition_set([("T", 3, defs.types_for("T")[1:])])
+        assert not verify_definitions(x, y, dropped)
+
+    def test_a_missing_symbol_is_refused(self, case):
+        x, y, defs = case
+        partial = make_definition_set([entry for entry in defs.entries if entry[0] != "U"])
+        for call in (lambda: verify_definitions(x, y, partial),
+                     lambda: definition_formula(partial, "U", ["v0"])):
+            with pytest.raises(DomainError) as info:
+                call()
+            assert str(info.value) == "no definition for symbol 'U'"
+
+    def test_an_arity_mismatch_is_refused(self, case):
+        x, y, _ = case
+        defs = make_definition_set([("E", 1, []), ("U", 1, [])])
+        for call in (lambda: verify_definitions(x, y, defs),
+                     lambda: definition_formula(defs, "E", ["v0", "v1"])):
+            with pytest.raises(DomainError) as info:
+                call()
+            assert str(info.value) == "'E' has arity 1, applied to 2 variables"
+
+    def test_a_companion_of_another_size_is_refused(self, case):
+        _, y, defs = case
+        x = companion_structure(3, (2,), (0, 1))
+        with pytest.raises(DomainError) as info:
+            verify_definitions(x, y, defs)
+        assert str(info.value) == "companion and structure must share the domain"
+
+
 class TestRoundTripProperty:
     def test_chainable_witnesses_extract_and_rebuild(self):
         from chainlab.verify import all_witnesses, witness_companion

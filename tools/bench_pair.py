@@ -30,8 +30,10 @@ And it counts what each CLI verb loads: every case recorded in
 And it times the definability round trip of corpus-sweep: extract, apply
 and verify on every chainable witness of every binary class on <= 3 points,
 in a fresh process per side, ROUND_TRIP_PASSES times over.  It reports each
-pass's seconds, the ``eval_formula`` calls of one pass, and the rendered-type
-cache's ``cache_info()`` after the timed passes, on a side that has one.
+pass's seconds, the ``cache_info()`` of the rendered-type and point-set caches
+after the timed passes (on a side that has them), and the ``eval_formula``
+calls of one more warm pass and of one cold pass, every ``core`` and ``logic``
+cache cleared first.
 
 The JSON written has ``command``, ``host``, ``parent``, ``change``,
 ``src.lines``, ``profile_cache``, ``start_path``, ``round_trip``,
@@ -97,12 +99,13 @@ print(json.dumps({
 
 
 # Runs in a side's tree: the round trips of the corpus-sweep classes on <= 3
-# points, timed pass by pass, then one more pass with ``eval_formula`` counted.
+# points, timed pass by pass, then one warm and one cold pass with
+# ``eval_formula`` counted.
 ROUND_TRIP_PROBE = """
 import json, sys, time
 root, passes = sys.argv[1], int(sys.argv[2])
 sys.path.insert(0, root + "/src")
-from chainlab import chainability, corpus, logic, verify
+from chainlab import chainability, core, corpus, logic, verify
 cases = []
 for m in range(4):
     witnesses = verify.all_witnesses(m)
@@ -122,7 +125,11 @@ for _ in range(passes):
     start = time.perf_counter()
     ok = round_trips()
     seconds.append(round(time.perf_counter() - start, 4))
-cache = getattr(logic, "_rendered_type", None)
+def info(name):
+    cache = getattr(logic, name, None)
+    return cache.cache_info()._asdict() if cache else None
+
+caches = {"render_cache": info("_rendered_type"), "points_cache": info("_satisfying_points")}
 calls = [0]
 evaluate = logic.eval_formula
 def counted(*args):
@@ -130,12 +137,18 @@ def counted(*args):
     return evaluate(*args)
 logic.eval_formula = counted
 round_trips()
+warm, calls[0] = calls[0], 0
+for f in [*vars(core).values(), *vars(logic).values()]:
+    if hasattr(f, "cache_clear"):
+        f.cache_clear()
+round_trips()
 print(json.dumps({
     "round_trips": len(cases),
     "ok": ok,
     "seconds": seconds,
-    "eval_formula_calls": calls[0],
-    "render_cache": cache.cache_info()._asdict() if cache else None,
+    "eval_formula_calls": warm,
+    "eval_formula_calls_cold": calls[0],
+    **caches,
 }))
 """
 ROUND_TRIP_PASSES = 10
@@ -259,8 +272,10 @@ def main() -> None:
         doc["round_trip"] = {
             "what": f"extract_definitions, apply_definitions and verify_definitions on every chainable witness "
             f"of every binary class on <= 3 points (the small corpus-sweep cases), in a fresh process: seconds of "
-            f"each of {ROUND_TRIP_PASSES} passes, eval_formula calls of one pass, and logic._rendered_type's "
-            f"cache_info() after the timed passes (null on a side without that cache)",
+            f"each of {ROUND_TRIP_PASSES} passes; the cache_info() of logic._rendered_type ('render_cache') and "
+            f"logic._satisfying_points ('points_cache') after the timed passes (null on a side without that "
+            f"cache); eval_formula calls of one more warm pass and of one cold pass, every core and logic "
+            f"cache cleared first",
             **{side: probe(roots[side], ROUND_TRIP_PROBE, ROUND_TRIP_PASSES) for side in SIDES},
         }
         print(f"round trip: {doc['round_trip']}", file=sys.stderr)
