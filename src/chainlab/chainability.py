@@ -10,22 +10,26 @@ Both the decision ``is_chainable_with`` and the search ``iter_chain_orders``
 structure exactly when, for each j up to the largest arity, all its j-subsets
 have one quantifier-free type over F (Fraisse; Frasnay), read by
 ``core._subset_key`` as canonical-form keys are.  They share one purity step,
-``_extends_purely``, over one table of types, ``_subset_types``: a decided
-order is chainable exactly when it is a path of the search.  The search also
-gives up on a complement of several 1-types and on a prefix some remaining
-element cannot extend; it lists the same orders, lexicographically, with no
-cap.  verify.py checks the decision against the full map oracle, which shares
-no code with it.
+``_extends_purely``, over one table of types per frozen set,
+``_subset_types``: a decided order is chainable exactly when it is a path of
+the search.  The decision keeps each structure's table per frozen set across
+calls, so the witnesses sharing a frozen set read each type once; the search
+builds its own.  The search also gives up on a complement of several 1-types
+and on a prefix some remaining element cannot extend; it lists the same
+orders, lexicographically, with no cap.  verify.py checks the decision
+against the full map oracle, which shares no code with it.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
-    Companion, Record, Structure, _subset_key, companion_structure, induced_substructure
+    CACHE_SIZE, Companion, Record, Structure, _subset_key, companion_structure,
+    induced_substructure,
 )
 from .errors import DomainError, UnsupportedSizeError
 
@@ -79,6 +83,7 @@ def _validate_witness(y: Structure, w: ChainWitness) -> None:
         raise DomainError("witness does not partition the domain")
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def _subset_types(y: Structure, fixed: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple]:
     """The memoised type over ``fixed`` of a tuple of non-frozen elements:
     ``core._subset_key(y.sig, y.relations, fixed + els)``, read straight off
@@ -91,7 +96,13 @@ def _subset_types(y: Structure, fixed: tuple[int, ...]) -> Callable[[tuple[int, 
     ... in order, on prefixes themselves built purely (by the search, or by
     the decision's in-order ``all``), so at level j every shorter sub-tuple
     of either side already has the type of as many first prefix elements,
-    and two keys can differ only on words that use all j chosen elements."""
+    and two keys can differ only on words that use all j chosen elements.
+
+    Memoised, for the decision: the witnesses of one structure share few
+    frozen sets (a 4-point structure's 65 share 16), and each reads the
+    types the others read.  The search calls ``__wrapped__`` for a table of
+    its own, dropped when it ends: ``kernel`` tries many frozen sets, most
+    of them once, so stored tables would mostly hold memory."""
     types: dict[tuple[int, ...], tuple] = {}
 
     def type_of(els: tuple[int, ...]) -> tuple:
@@ -154,7 +165,7 @@ def iter_chain_orders(y: Structure, f_set: Iterable[int]) -> Iterator[tuple[int,
     f = _in_domain(y, f_set)
     rest = [e for e in range(y.size) if e not in f]
     bound = y.sig.max_arity()
-    type_of = _subset_types(y, tuple(sorted(f)))
+    type_of = _subset_types.__wrapped__(y, tuple(sorted(f)))
     if len({type_of((e,)) for e in rest}) > 1:
         return
     prefix: list[int] = []

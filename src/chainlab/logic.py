@@ -228,30 +228,79 @@ def _require_valid_companion(x: Companion) -> None:
         raise DomainError("companion violates the ordering axioms")
 
 
+def _require_constants(x: Companion, name: str, types: Iterable[LiteralType]) -> None:
+    """Refuse a definition of ``name`` built for another number of constants
+    than ``x`` carries."""
+    for t in types:
+        if t.num_constants != len(x.constants):
+            raise DomainError(
+                f"definition of {name!r} was built for {t.num_constants} "
+                f"constants, companion has {len(x.constants)}"
+            )
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _type_classes(size: int, num_constants: int, arity: int) -> tuple:
+    """(type, words) pairs: the arity-length words of each literal type over
+    the standard companion of this shape, order 0..size-1 and constants
+    0..num_constants-1.  Over a valid companion ``x`` of the shape, a point's
+    type is the standard type of its entries' positions in ``x.order``, so a
+    type's points over ``x`` are its words read through ``x.order``."""
+    read = _type_reader(Companion(size, tuple(range(size)), tuple(range(num_constants))))
+    classes: dict[LiteralType, list[tuple[int, ...]]] = {}
+    for point in words(size, arity):
+        classes.setdefault(read(point), []).append(point)
+    return tuple((t, frozenset(points)) for t, points in classes.items())
+
+
+def _classes_over(x: Companion, arity: int) -> tuple:
+    """``_type_classes`` of ``x``'s shape, stored only while it has at most
+    SHARED_WORDS_CAP words, the rule ``core.words`` follows."""
+    small = x.size**arity <= SHARED_WORDS_CAP
+    return (_type_classes if small else _type_classes.__wrapped__)(x.size, len(x.constants), arity)
+
+
+@lru_cache(maxsize=64)
+def _shared_word(size: int, arity: int) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """Each word to the equal tuple ``core.words`` shares, so that built
+    relations share their tuples; past SHARED_WORDS_CAP words, to itself."""
+    if size**arity > SHARED_WORDS_CAP:
+        return tuple
+    return {w: w for w in words(size, arity)}.__getitem__
+
+
 def extract_definitions(x: Companion, y: Structure) -> QfDefinitionSet:
     """Partition each relation's tuple space by literal type over ``x`` and
     select the classes meeting the relation.
 
     Every selected class must lie entirely inside the relation; an impure
-    class aborts with NotSimplyDefinableError carrying two witness tuples.
+    class aborts with NotSimplyDefinableError carrying two witness tuples:
+    the least relation member whose class is impure, and the least
+    non-member of that class.
     The structure and companion must share the domain.
     """
     _require_valid_companion(x)
     if x.size != y.size:
         raise DomainError("companion and structure must share the domain")
-    type_of = _type_reader(x)
+    position = sorted(range(x.size), key=x.order.__getitem__).__getitem__
+    at = x.order.__getitem__
     entries = []
     for (name, arity), tuples in zip(y.sig.symbols, y.relations):
-        first_in: dict[LiteralType, tuple[int, ...]] = {}
-        first_out: dict[LiteralType, tuple[int, ...]] = {}
-        for point in itertools.product(range(y.size), repeat=arity):
-            t = type_of(point)
-            side = first_in if point in tuples else first_out
-            side.setdefault(t, point)
-        for t in first_in:
-            if t in first_out:
-                raise NotSimplyDefinableError(name, t, first_in[t], first_out[t])
-        entries.append((name, arity, first_in.keys()))
+        # Members as standard words: their entries' positions in x.order.
+        members = {tuple(map(position, t)) for t in tuples}
+        kept, impure = [], []
+        for t, points in _classes_over(x, arity):
+            inside = points.intersection(members)
+            if len(inside) == len(points):
+                kept.append(t)
+            elif inside:
+                first_in = min(tuple(map(at, p)) for p in inside)
+                first_out = min(tuple(map(at, p)) for p in points - inside)
+                impure.append((first_in, first_out, t))
+        if impure:
+            first_in, first_out, t = min(impure)
+            raise NotSimplyDefinableError(name, t, first_in, first_out)
+        entries.append((name, arity, kept))
     return make_definition_set(entries)
 
 
@@ -259,27 +308,23 @@ def apply_definitions(
     x: Companion, defs: QfDefinitionSet, sig: Signature
 ) -> Structure:
     """The structure on the companion's domain whose relations hold exactly
-    on tuples whose literal type belongs to each symbol's definition."""
+    on tuples whose literal type belongs to each symbol's definition: the
+    union of the defined types' classes, read through ``x.order``."""
     _require_valid_companion(x)
-    type_of = _type_reader(x)
+    at = x.order.__getitem__
     relations = []
     for name, arity in sig.symbols:
         if not defs.has(name):
             raise DomainError(f"definition set does not cover symbol {name!r}")
         types = set(defs.types_for(name))
-        for t in types:
-            if t.num_constants != len(x.constants):
-                raise DomainError(
-                    f"definition of {name!r} was built for {t.num_constants} "
-                    f"constants, companion has {len(x.constants)}"
-                )
+        _require_constants(x, name, types)
+        shared = _shared_word(x.size, arity)
         # On Python 3.11, copying a set sizes the table to the power of two above
         # twice the count, a generator grows it in steps: 64 members take 4,312 B
         # copied and 2,264 B from a generator, yet over 2,024 planted structures
         # the copy takes less on average (3,068 B against 4,850 B per structure).
-        relations.append(
-            frozenset({point for point in words(x.size, arity) if type_of(point) in types})
-        )
+        classes = [points for t, points in _classes_over(x, arity) if t in types]
+        relations.append(frozenset({shared(tuple(map(at, p))) for ps in classes for p in ps}))
     return Structure(sig, x.size, tuple(relations))
 
 
@@ -295,6 +340,7 @@ def verify_definitions(x: Companion, y: Structure, defs: QfDefinitionSet) -> boo
         raise DomainError("companion and structure must share the domain")
     for (name, arity), tuples in zip(y.sig.symbols, y.relations):
         types = _types_at_arity(defs, name, arity)
+        _require_constants(x, name, types)
         memoised = x.size**arity <= SHARED_WORDS_CAP
         points = _satisfying_points if memoised else _satisfying_points.__wrapped__
         if set().union(*(points(x, t) for t in types)) != tuples:

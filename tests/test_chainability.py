@@ -239,6 +239,27 @@ class TestSearchWork:
         assert steps[0] <= 148  # 8,000 without the two cuts
 
 
+class TestDecisionTables:
+    """The decision reads its subset types from one table per structure and
+    frozen set; the order search builds its own table on each call."""
+
+    def test_one_table_per_frozen_set(self):
+        y = corpus.structure_from_mask(4, corpus.binary_masks_up_to_iso(4)[100])
+        witnesses = all_witnesses(4)
+        chainability._subset_types.cache_clear()
+        verdicts = [is_chainable_with(y, w) for w in witnesses]
+        info = chainability._subset_types.cache_info()
+        assert info.misses == len({w.f_set for w in witnesses}) == 16
+        assert info.hits == len(witnesses) - 16
+        assert verdicts == [chainable_full(y, w) for w in witnesses]
+
+    def test_the_search_keeps_no_table(self):
+        chainability._subset_types.cache_clear()
+        assert kernel(corpus.cycle_structure(6), 6).min_size == 5
+        assert find_chain_order(corpus.chain_structure(5), ()) == (0, 1, 2, 3, 4)
+        assert chainability._subset_types.cache_info().currsize == 0
+
+
 class TestDegenerateSizes:
     def test_size_zero_domain(self):
         y = structure(0, {}, [("E", 2)])

@@ -11,6 +11,7 @@ from chainlab.core import (
     companion_structure,
     reduct,
     structure,
+    words,
 )
 from chainlab.errors import DomainError, NotSimplyDefinableError
 from chainlab.formulas import Eq, Exists, Not, Rel, and_all, eval_formula, format_formula
@@ -107,8 +108,8 @@ class TestLiteralType:
 
 
 class TestMemos:
-    """The literal-type reader, the rendered-type cache and the companion
-    structure cache change no output, so these tests count their work."""
+    """The type classes, the rendered-type cache and the companion structure
+    cache change no output, so these tests count their work."""
 
     @staticmethod
     def _all_types(x, arity):
@@ -149,21 +150,18 @@ class TestMemos:
         assert definition_formula(defs, "E", ("v0", "v1")) == first
         assert logic._rendered_type.cache_info()[:2] == (len(types), len(types))
 
-    def test_one_type_reader_per_call(self, monkeypatch):
-        built = [0]
-        reader = logic._type_reader
-
-        def counted(x):
-            built[0] += 1
-            return reader(x)
-
-        monkeypatch.setattr(logic, "_type_reader", counted)
-        y = structure(3, {"E": [(0, 1), (1, 2), (0, 2)], "U": [(0,)]}, [("E", 2), ("U", 1)])
-        x = companion_structure(3, (0,), (1, 2))
-        defs = extract_definitions(x, y)
-        assert built[0] == 1
-        assert apply_definitions(x, defs, y.sig) == y
-        assert built[0] == 2
+    def test_one_class_table_per_companion_shape(self):
+        # Every companion of 1..4 points, through both calls and arities 1
+        # and 2: the classes are built once per (size, constants, arity).
+        sig = Signature((("E", 2), ("U", 1)))
+        logic._type_classes.cache_clear()
+        shapes = set()
+        for m in range(1, 5):
+            y = structure(m, {"E": itertools.product(range(m), repeat=2)}, sig)
+            for x in every_companion(m):
+                assert apply_definitions(x, extract_definitions(x, y), sig) == y
+                shapes |= {(m, len(x.constants), 1), (m, len(x.constants), 2)}
+        assert logic._type_classes.cache_info().misses == len(shapes) == 28
 
 
 class TestExtraction:
@@ -234,6 +232,131 @@ class TestApplyDefinitions:
         x = companion_structure(3, (), (0, 1, 2))
         defs = extract_definitions(x, chain3)
         assert verify_definitions(x, chain3, defs)
+
+
+def every_companion(m):
+    for order in itertools.permutations(range(m)):
+        for k in range(m + 1):
+            yield companion_structure(m, order[:k], order[k:])
+
+
+def scanned_definitions(x, y):
+    """extract_definitions as a lex-ordered scan of every point, typed one by
+    one with literal_type: each type keeps its first point inside and outside
+    the relation, and the first impure type met inside is refused."""
+    entries = []
+    for (name, arity), tuples in zip(y.sig.symbols, y.relations):
+        first_in, first_out = {}, {}
+        for point in itertools.product(range(y.size), repeat=arity):
+            side = first_in if point in tuples else first_out
+            side.setdefault(literal_type(x, point), point)
+        for t in first_in:
+            if t in first_out:
+                raise NotSimplyDefinableError(name, t, first_in[t], first_out[t])
+        entries.append((name, arity, first_in.keys()))
+    return make_definition_set(entries)
+
+
+def scanned_structure(x, defs, sig):
+    """apply_definitions as a scan of every point, typed with literal_type."""
+    rels = {
+        name: [p for p in itertools.product(range(x.size), repeat=arity)
+               if literal_type(x, p) in defs.types_for(name)]
+        for name, arity in sig.symbols
+    }
+    return structure(x.size, rels, sig)
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except NotSimplyDefinableError as exc:
+        return exc.payload(), exc.literal_type
+
+
+class TestTypeClasses:
+    """extract_definitions and apply_definitions read each type's points off
+    the classes of the companion's shape; a point-by-point scan with
+    literal_type is the reference."""
+
+    SIG = Signature((("E", 2), ("U", 1)))
+
+    def cases(self):
+        rng = random.Random(27)
+        structures = [
+            corpus.structure_from_mask(m, mask)
+            for m in range(4)
+            for mask in corpus.binary_masks_up_to_iso(m)
+        ]
+        structures += [
+            corpus.structure_from_mask(4, mask)
+            for mask in rng.sample(corpus.binary_masks_up_to_iso(4), 12)
+        ]
+        for m in (2, 3, 4):
+            for _ in range(6):
+                rels = {name: [p for p in itertools.product(range(m), repeat=arity) if rng.random() < 0.4]
+                        for name, arity in self.SIG.symbols}
+                structures.append(structure(m, rels, self.SIG))
+        for y in structures:
+            for x in every_companion(y.size):
+                yield rng, x, y
+
+    def test_agrees_with_a_point_by_point_scan(self):
+        refused = defined = 0
+        for rng, x, y in self.cases():
+            expected = outcome(scanned_definitions, x, y)
+            assert outcome(extract_definitions, x, y) == expected, (x, y.relations)
+            if isinstance(expected, logic.QfDefinitionSet):
+                defined += 1
+                defs = expected
+            else:
+                refused += 1
+                defs = random_definition_set(rng, x, y.sig)
+            # Types no point of this size realizes, drawn from a larger companion.
+            k = len(x.constants)
+            wide = companion_structure(k + 2, range(k), (k, k + 1))
+            pool = [{literal_type(wide, p) for p in itertools.product(range(k + 2), repeat=arity)}
+                    for _, arity in y.sig.symbols]
+            unrealized = make_definition_set(
+                (name, arity, [t for t in sorted(types, key=LiteralType.sort_key) if rng.random() < 0.5])
+                for (name, arity), types in zip(y.sig.symbols, pool)
+            )
+            for d in (defs, unrealized):
+                assert apply_definitions(x, d, y.sig) == scanned_structure(x, d, y.sig)
+        assert refused > 1000 and defined > 1000
+
+    def test_the_least_inside_point_names_the_impure_type(self):
+        # Over the order 2 < 1 < 0, (2, 1) and (0, 1) are both inside E and
+        # of impure types; the second, whose class comes later in the
+        # companion's order, holds the least inside point.
+        x = companion_structure(3, (), (2, 1, 0))
+        y = structure(3, {"E": [(0, 1), (2, 1)]}, [("E", 2)])
+        with pytest.raises(NotSimplyDefinableError) as info:
+            extract_definitions(x, y)
+        assert (info.value.inside, info.value.outside) == ((0, 1), (0, 2))
+        assert info.value.literal_type == literal_type(x, (0, 1)) != literal_type(x, (2, 1))
+        assert outcome(extract_definitions, x, y) == outcome(scanned_definitions, x, y)
+
+    def test_the_impure_type_need_not_come_first(self):
+        # The diagonal's class comes first and is pure; the class of (0, 1),
+        # inside E, is not.
+        x = companion_structure(3, (), (0, 1, 2))
+        y = structure(3, {"E": [(0, 0), (1, 1), (2, 2), (0, 1)]}, [("E", 2)])
+        with pytest.raises(NotSimplyDefinableError) as info:
+            extract_definitions(x, y)
+        assert (info.value.inside, info.value.outside) == ((0, 1), (0, 2))
+
+    def test_built_relations_share_the_word_tuples(self):
+        rng = random.Random(5)
+        built = 0
+        for m, k in ((3, 1), (4, 0), (4, 2), (6, 2)) * 3:
+            x = random_companion(rng, m, k)
+            y = apply_definitions(x, random_definition_set(rng, x, self.SIG), self.SIG)
+            for (_, arity), tuples in zip(self.SIG.symbols, y.relations):
+                shared = {id(w) for w in words(m, arity)}
+                assert all(id(t) in shared for t in tuples)
+                built += len(tuples)
+        assert built > 100
 
 
 def per_tuple_verdict(x, y, defs):
@@ -369,6 +492,23 @@ class TestVerifyDefinitions:
             with pytest.raises(DomainError) as info:
                 call()
             assert str(info.value) == "'E' has arity 1, applied to 2 variables"
+
+    def test_a_constant_count_mismatch_is_refused(self):
+        # Built for no constants, the definitions once verified over one as
+        # True; built for one, they failed over none on the unknown symbol U0.
+        y = corpus.unary_structure(3, [0, 1, 2])
+        x0 = companion_structure(3, (), (0, 1, 2))
+        x1 = companion_structure(3, (0,), (1, 2))
+        for built, used in ((x0, x1), (x1, x0)):
+            defs = extract_definitions(built, y)
+            with pytest.raises(DomainError) as applied:
+                apply_definitions(used, defs, y.sig)
+            with pytest.raises(DomainError) as verified:
+                verify_definitions(used, y, defs)
+            assert str(verified.value) == str(applied.value) == (
+                f"definition of 'U' was built for {len(built.constants)} constants, "
+                f"companion has {len(used.constants)}"
+            )
 
     def test_a_companion_of_another_size_is_refused(self, case):
         _, y, defs = case

@@ -30,14 +30,20 @@ And it counts what each CLI verb loads: every case recorded in
 And it times the definability round trip of corpus-sweep: extract, apply
 and verify on every chainable witness of every binary class on <= 3 points,
 in a fresh process per side, ROUND_TRIP_PASSES times over.  It reports each
-pass's seconds, the ``cache_info()`` of the rendered-type and point-set caches
-after the timed passes (on a side that has them), and the ``eval_formula``
-calls of one more warm pass and of one cold pass, every ``core`` and ``logic``
-cache cleared first.
+pass's seconds, the ``cache_info()`` of the rendered-type, point-set,
+type-class and decision-table caches after the timed passes (on a side that
+has them), and the ``eval_formula`` calls of one more warm pass and of one
+cold pass, every ``core`` and ``logic`` cache cleared first.
+
+And it times the chainability decision of corpus-sweep: ``is_chainable_with``
+on every witness of every binary class on <= 3 points, in a fresh process per
+side, DECISION_PASSES times over, then counts the ``core._subset_key`` calls
+the decision makes in one more warm pass and in one cold pass, every
+``chainability`` cache cleared first.
 
 The JSON written has ``command``, ``host``, ``parent``, ``change``,
 ``src.lines``, ``profile_cache``, ``start_path``, ``round_trip``,
-``workloads`` (every pair's results, keys in the order the sides ran) and
+``decision``, ``workloads`` (every pair's results, keys in the order the sides ran) and
 ``medians`` (per side and metric).
 """
 
@@ -125,11 +131,16 @@ for _ in range(passes):
     start = time.perf_counter()
     ok = round_trips()
     seconds.append(round(time.perf_counter() - start, 4))
-def info(name):
-    cache = getattr(logic, name, None)
-    return cache.cache_info()._asdict() if cache else None
+def info(module, name):
+    cache = getattr(getattr(module, name, None), "cache_info", None)
+    return cache()._asdict() if cache else None
 
-caches = {"render_cache": info("_rendered_type"), "points_cache": info("_satisfying_points")}
+caches = {
+    "render_cache": info(logic, "_rendered_type"),
+    "points_cache": info(logic, "_satisfying_points"),
+    "classes_cache": info(logic, "_type_classes"),
+    "decision_cache": info(chainability, "_subset_types"),
+}
 calls = [0]
 evaluate = logic.eval_formula
 def counted(*args):
@@ -152,6 +163,51 @@ print(json.dumps({
 }))
 """
 ROUND_TRIP_PASSES = 10
+
+# Runs in a side's tree: the chainability decisions of the corpus-sweep
+# classes on <= 3 points, every witness of each, timed pass by pass, then
+# one warm and one cold pass with the subset keys the decision reads counted.
+DECISION_PROBE = """
+import json, sys, time
+root, passes = sys.argv[1], int(sys.argv[2])
+sys.path.insert(0, root + "/src")
+from chainlab import chainability, corpus, verify
+cases = [
+    (corpus.structure_from_mask(m, mask), w)
+    for m in range(4)
+    for mask in corpus.binary_masks_up_to_iso(m)
+    for w in verify.all_witnesses(m)
+]
+
+def decisions():
+    return sum(chainability.is_chainable_with(y, w) for y, w in cases)
+
+seconds = []
+for _ in range(passes):
+    start = time.perf_counter()
+    chainable = decisions()
+    seconds.append(round(time.perf_counter() - start, 4))
+calls = [0]
+key = chainability._subset_key
+def counted(*args):
+    calls[0] += 1
+    return key(*args)
+chainability._subset_key = counted
+decisions()
+warm, calls[0] = calls[0], 0
+for f in vars(chainability).values():
+    if hasattr(f, "cache_clear"):
+        f.cache_clear()
+decisions()
+print(json.dumps({
+    "decisions": len(cases),
+    "chainable": chainable,
+    "seconds": seconds,
+    "subset_key_calls": warm,
+    "subset_key_calls_cold": calls[0],
+}))
+"""
+DECISION_PASSES = 10
 
 
 def git(*args: str) -> str:
@@ -273,12 +329,20 @@ def main() -> None:
             "what": f"extract_definitions, apply_definitions and verify_definitions on every chainable witness "
             f"of every binary class on <= 3 points (the small corpus-sweep cases), in a fresh process: seconds of "
             f"each of {ROUND_TRIP_PASSES} passes; the cache_info() of logic._rendered_type ('render_cache') and "
-            f"logic._satisfying_points ('points_cache') after the timed passes (null on a side without that "
-            f"cache); eval_formula calls of one more warm pass and of one cold pass, every core and logic "
+            f"logic._satisfying_points ('points_cache'), logic._type_classes ('classes_cache') and "
+            f"chainability._subset_types ('decision_cache') after the timed passes (null on a side without "
+            f"that cache); eval_formula calls of one more warm pass and of one cold pass, every core and logic "
             f"cache cleared first",
             **{side: probe(roots[side], ROUND_TRIP_PROBE, ROUND_TRIP_PASSES) for side in SIDES},
         }
         print(f"round trip: {doc['round_trip']}", file=sys.stderr)
+        doc["decision"] = {
+            "what": f"is_chainable_with on every witness of every binary class on <= 3 points, in a fresh "
+            f"process: seconds of each of {DECISION_PASSES} passes; chainability._subset_key calls of one more "
+            f"warm pass and of one cold pass, every chainability cache cleared first",
+            **{side: probe(roots[side], DECISION_PROBE, DECISION_PASSES) for side in SIDES},
+        }
+        print(f"decision: {doc['decision']}", file=sys.stderr)
         doc["workloads"] = {}
         for workload in workloads:
             pairs = []
