@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     CACHE_SIZE,
@@ -188,9 +188,6 @@ class QfDefinitionSet(Record, namedtuple("QfDefinitionSet", "entries")):
                 return types
         raise DomainError(f"no definition for symbol {name!r}")
 
-    def has(self, name: str) -> bool:
-        return any(sym == name for sym, _, _ in self.entries)
-
 
 def make_definition_set(
     entries: Iterable[tuple[str, int, Iterable[LiteralType]]]
@@ -240,67 +237,50 @@ def _require_constants(x: Companion, name: str, types: Iterable[LiteralType]) ->
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _type_classes(size: int, num_constants: int, arity: int) -> tuple:
-    """(type, words) pairs: the arity-length words of each literal type over
-    the standard companion of this shape, order 0..size-1 and constants
-    0..num_constants-1.  Over a valid companion ``x`` of the shape, a point's
-    type is the standard type of its entries' positions in ``x.order``, so a
-    type's points over ``x`` are its words read through ``x.order``."""
+def _type_table(size: int, num_constants: int, arity: int) -> dict:
+    """Each word of ``core.words(size, arity)`` to its literal type over the
+    standard companion of this shape: order 0..size-1, constants
+    0..num_constants-1."""
     read = _type_reader(Companion(size, tuple(range(size)), tuple(range(num_constants))))
-    classes: dict[LiteralType, list[tuple[int, ...]]] = {}
-    for point in words(size, arity):
-        classes.setdefault(read(point), []).append(point)
-    return tuple((t, frozenset(points)) for t, points in classes.items())
+    return {w: read(w) for w in words(size, arity)}
 
 
-def _classes_over(x: Companion, arity: int) -> tuple:
-    """``_type_classes`` of ``x``'s shape, stored only while it has at most
-    SHARED_WORDS_CAP words, the rule ``core.words`` follows."""
+def _typed_words(x: Companion, arity: int) -> Iterator[tuple[tuple[int, ...], LiteralType]]:
+    """Each word of ``core.words(x.size, arity)``, in lex order, with its
+    literal type over the valid companion ``x``: the standard type of its
+    entries' positions in ``x.order``, read off the words over the list of
+    positions, which run in step.  The table of the shape is stored only
+    while it has at most SHARED_WORDS_CAP words, the rule ``core.words``
+    follows."""
     small = x.size**arity <= SHARED_WORDS_CAP
-    return (_type_classes if small else _type_classes.__wrapped__)(x.size, len(x.constants), arity)
-
-
-@lru_cache(maxsize=64)
-def _shared_word(size: int, arity: int) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-    """Each word to the equal tuple ``core.words`` shares, so that built
-    relations share their tuples; past SHARED_WORDS_CAP words, to itself."""
-    if size**arity > SHARED_WORDS_CAP:
-        return tuple
-    return {w: w for w in words(size, arity)}.__getitem__
+    table = (_type_table if small else _type_table.__wrapped__)(x.size, len(x.constants), arity)
+    position = sorted(range(x.size), key=x.order.__getitem__)
+    return zip(words(x.size, arity), map(table.__getitem__, itertools.product(position, repeat=arity)))
 
 
 def extract_definitions(x: Companion, y: Structure) -> QfDefinitionSet:
-    """Partition each relation's tuple space by literal type over ``x`` and
-    select the classes meeting the relation.
+    """Scan each relation's tuple space in lex order, typing every tuple over
+    ``x``, and select the types met inside the relation.
 
-    Every selected class must lie entirely inside the relation; an impure
-    class aborts with NotSimplyDefinableError carrying two witness tuples:
-    the least relation member whose class is impure, and the least
-    non-member of that class.
+    Every selected type must lie entirely inside the relation; an impure type
+    aborts with NotSimplyDefinableError carrying two witness tuples: the
+    least relation member whose type is impure, and the least non-member of
+    that type.
     The structure and companion must share the domain.
     """
     _require_valid_companion(x)
     if x.size != y.size:
         raise DomainError("companion and structure must share the domain")
-    position = sorted(range(x.size), key=x.order.__getitem__).__getitem__
-    at = x.order.__getitem__
     entries = []
     for (name, arity), tuples in zip(y.sig.symbols, y.relations):
-        # Members as standard words: their entries' positions in x.order.
-        members = {tuple(map(position, t)) for t in tuples}
-        kept, impure = [], []
-        for t, points in _classes_over(x, arity):
-            inside = points.intersection(members)
-            if len(inside) == len(points):
-                kept.append(t)
-            elif inside:
-                first_in = min(tuple(map(at, p)) for p in inside)
-                first_out = min(tuple(map(at, p)) for p in points - inside)
-                impure.append((first_in, first_out, t))
-        if impure:
-            first_in, first_out, t = min(impure)
-            raise NotSimplyDefinableError(name, t, first_in, first_out)
-        entries.append((name, arity, kept))
+        # Each type's first point inside and outside, in the order first met.
+        first_in, first_out = {}, {}
+        for point, t in _typed_words(x, arity):
+            (first_in if point in tuples else first_out).setdefault(t, point)
+        for t, point in first_in.items():
+            if t in first_out:
+                raise NotSimplyDefinableError(name, t, point, first_out[t])
+        entries.append((name, arity, first_in))
     return make_definition_set(entries)
 
 
@@ -308,23 +288,17 @@ def apply_definitions(
     x: Companion, defs: QfDefinitionSet, sig: Signature
 ) -> Structure:
     """The structure on the companion's domain whose relations hold exactly
-    on tuples whose literal type belongs to each symbol's definition: the
-    union of the defined types' classes, read through ``x.order``."""
+    on tuples whose literal type belongs to each symbol's definition, found
+    by one scan of the shared words of ``core.words``."""
     _require_valid_companion(x)
-    at = x.order.__getitem__
     relations = []
     for name, arity in sig.symbols:
-        if not defs.has(name):
-            raise DomainError(f"definition set does not cover symbol {name!r}")
-        types = set(defs.types_for(name))
+        types = set(_types_at_arity(defs, name, arity))
         _require_constants(x, name, types)
-        shared = _shared_word(x.size, arity)
-        # On Python 3.11, copying a set sizes the table to the power of two above
-        # twice the count, a generator grows it in steps: 64 members take 4,312 B
-        # copied and 2,264 B from a generator, yet over 2,024 planted structures
-        # the copy takes less on average (3,068 B against 4,850 B per structure).
-        classes = [points for t, points in _classes_over(x, arity) if t in types]
-        relations.append(frozenset({shared(tuple(map(at, p))) for ps in classes for p in ps}))
+        # On Python 3.11 a copied set is sized to the power of two above twice the
+        # count, yet over 2,024 planted structures the copy takes less memory on
+        # average than a set grown from a generator (3,068 B against 4,850 B).
+        relations.append(frozenset({w for w, t in _typed_words(x, arity) if t in types}))
     return Structure(sig, x.size, tuple(relations))
 
 

@@ -152,16 +152,16 @@ class TestMemos:
 
     def test_one_class_table_per_companion_shape(self):
         # Every companion of 1..4 points, through both calls and arities 1
-        # and 2: the classes are built once per (size, constants, arity).
+        # and 2: the type table is built once per (size, constants, arity).
         sig = Signature((("E", 2), ("U", 1)))
-        logic._type_classes.cache_clear()
+        logic._type_table.cache_clear()
         shapes = set()
         for m in range(1, 5):
             y = structure(m, {"E": itertools.product(range(m), repeat=2)}, sig)
             for x in every_companion(m):
                 assert apply_definitions(x, extract_definitions(x, y), sig) == y
                 shapes |= {(m, len(x.constants), 1), (m, len(x.constants), 2)}
-        assert logic._type_classes.cache_info().misses == len(shapes) == 28
+        assert logic._type_table.cache_info().misses == len(shapes) == 28
 
 
 class TestExtraction:
@@ -275,8 +275,8 @@ def outcome(call, *args):
 
 
 class TestTypeClasses:
-    """extract_definitions and apply_definitions read each type's points off
-    the classes of the companion's shape; a point-by-point scan with
+    """extract_definitions and apply_definitions read each point's type off
+    the type table of the companion's shape; a point-by-point scan with
     literal_type is the reference."""
 
     SIG = Signature((("E", 2), ("U", 1)))
@@ -467,7 +467,10 @@ class TestVerifyDefinitions:
         x = random_companion(rng, 9, 1)
         sig = Signature((("T", 3),))
         defs = random_definition_set(rng, x, sig)
+        logic._type_table.cache_clear()
         y = apply_definitions(x, defs, sig)
+        assert apply_definitions(x, extract_definitions(x, y), sig) == y
+        assert logic._type_table.cache_info().currsize == 0
         logic._satisfying_points.cache_clear()
         assert verify_definitions(x, y, defs)
         assert per_tuple_verdict(x, y, defs)
@@ -479,7 +482,8 @@ class TestVerifyDefinitions:
         x, y, defs = case
         partial = make_definition_set([entry for entry in defs.entries if entry[0] != "U"])
         for call in (lambda: verify_definitions(x, y, partial),
-                     lambda: definition_formula(partial, "U", ["v0"])):
+                     lambda: definition_formula(partial, "U", ["v0"]),
+                     lambda: apply_definitions(x, partial, y.sig)):
             with pytest.raises(DomainError) as info:
                 call()
             assert str(info.value) == "no definition for symbol 'U'"
@@ -488,7 +492,8 @@ class TestVerifyDefinitions:
         x, y, _ = case
         defs = make_definition_set([("E", 1, []), ("U", 1, [])])
         for call in (lambda: verify_definitions(x, y, defs),
-                     lambda: definition_formula(defs, "E", ["v0", "v1"])):
+                     lambda: definition_formula(defs, "E", ["v0", "v1"]),
+                     lambda: apply_definitions(x, defs, y.sig)):
             with pytest.raises(DomainError) as info:
                 call()
             assert str(info.value) == "'E' has arity 1, applied to 2 variables"
