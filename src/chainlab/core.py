@@ -234,7 +234,8 @@ class Companion(Record, namedtuple("Companion", "size order constants")):
     __slots__ = ()
 
     def __new__(cls, size: int, order: tuple[int, ...], constants: tuple[int, ...]):
-        if sorted(order) != list(range(size)):
+        # The length is compared first, so no huge or negative size is listed.
+        if len(order) != size or sorted(order) != list(range(size)):
             raise DomainError("order must be a permutation of the domain")
         if len(set(constants)) != len(constants):
             raise DomainError("constants must be distinct")
@@ -341,11 +342,11 @@ def structure_from_dict(doc: dict) -> Structure:
 
 def companion_from_dict(doc: dict) -> Companion:
     try:
-        return Companion(
-            _json_int(doc["size"]),
-            tuple(map(_json_int, doc["order"])),
-            tuple(map(_json_int, doc.get("constants", []))),
-        )
+        size = _json_int(doc["size"])
+        if size > sys.maxsize:  # no order could list it
+            raise ValueError(f"size exceeds {sys.maxsize}")
+        order = tuple(map(_json_int, doc["order"]))
+        return Companion(size, order, tuple(map(_json_int, doc.get("constants", []))))
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed companion document: {exc}") from exc
 

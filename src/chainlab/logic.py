@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     CACHE_SIZE,
@@ -95,34 +95,30 @@ _interned_type = lru_cache(maxsize=CACHE_SIZE)(LiteralType)
 
 
 def literal_type(x: Companion, point: Sequence[int]) -> LiteralType:
-    """The literal type realized by ``point`` in the companion ``x``.
+    """The literal type realized by ``point`` in the companion ``x``, which
+    must be valid.
 
     Two tuples receive equal types exactly when they satisfy the same
     companion literals.
     """
-    return _type_reader(x)(point)
+    _require_valid_companion(x)
+    point = tuple(map(int, point))
+    for v in point:
+        if not (0 <= v < x.size):
+            raise DomainError(f"tuple entry {v} leaves the domain of size {x.size}")
+    return _standard_type(len(x.constants), tuple(map(x.order.index, point)))
 
 
-def _type_reader(x: Companion) -> Callable[[Sequence[int]], LiteralType]:
-    """``literal_type`` over ``x`` as a function of the point alone: the
-    companion's positions and constant indices are read once, not per
-    point."""
-    position = {v: i for i, v in enumerate(x.order)}.__getitem__
-    constant_index = {c: j for j, c in enumerate(x.constants)}.get
-    size, num_constants = x.size, len(x.constants)
-
-    def read(point: Sequence[int]) -> LiteralType:
-        point = tuple(map(int, point))
-        for v in point:
-            if not (0 <= v < size):
-                raise DomainError(f"tuple entry {v} leaves the domain of size {size}")
-        distinct = sorted(set(point), key=position)
-        rank = {v: r for r, v in enumerate(distinct)}.__getitem__
-        return _interned_type(
-            tuple(map(rank, point)), tuple(map(constant_index, distinct)), num_constants
-        )
-
-    return read
+@lru_cache(maxsize=CACHE_SIZE)
+def _standard_type(num_constants: int, positions: tuple[int, ...]) -> LiteralType:
+    """The literal type of a word of positions in a valid companion with
+    ``num_constants`` constants: its rank pattern, each block marked by its
+    position while that is below ``num_constants``, since constant j sits at
+    position j."""
+    distinct = sorted(set(positions))
+    rank = {p: r for r, p in enumerate(distinct)}.__getitem__
+    marks = tuple(p if p < num_constants else None for p in distinct)
+    return _interned_type(tuple(map(rank, positions)), marks, num_constants)
 
 
 def render_literal_type(t: LiteralType, variables: Sequence[str]) -> Formula:
@@ -236,26 +232,14 @@ def _require_constants(x: Companion, name: str, types: Iterable[LiteralType]) ->
             )
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _type_table(size: int, num_constants: int, arity: int) -> dict:
-    """Each word of ``core.words(size, arity)`` to its literal type over the
-    standard companion of this shape: order 0..size-1, constants
-    0..num_constants-1."""
-    read = _type_reader(Companion(size, tuple(range(size)), tuple(range(num_constants))))
-    return {w: read(w) for w in words(size, arity)}
-
-
 def _typed_words(x: Companion, arity: int) -> Iterator[tuple[tuple[int, ...], LiteralType]]:
     """Each word of ``core.words(x.size, arity)``, in lex order, with its
     literal type over the valid companion ``x``: the standard type of its
     entries' positions in ``x.order``, read off the words over the list of
-    positions, which run in step.  The table of the shape is stored only
-    while it has at most SHARED_WORDS_CAP words, the rule ``core.words``
-    follows."""
-    small = x.size**arity <= SHARED_WORDS_CAP
-    table = (_type_table if small else _type_table.__wrapped__)(x.size, len(x.constants), arity)
+    positions, which run in step."""
     position = sorted(range(x.size), key=x.order.__getitem__)
-    return zip(words(x.size, arity), map(table.__getitem__, itertools.product(position, repeat=arity)))
+    positions = itertools.product(position, repeat=arity)
+    return zip(words(x.size, arity), map(_standard_type, itertools.repeat(len(x.constants)), positions))
 
 
 def extract_definitions(x: Companion, y: Structure) -> QfDefinitionSet:

@@ -81,6 +81,19 @@ class TestExitCodes:
             "error": "domain_error",
         }
 
+    def test_define_over_a_huge_declared_companion_is_domain_error(self, tmp_path):
+        # The order lists one of 10**12 points; it is refused without listing
+        # the domain.
+        path = tmp_path / "huge_companion.json"
+        path.write_text(json.dumps({"size": 10**12, "order": [0]}))
+        result = run_cli("define", "--structure", "c4.json", "--companion", str(path), timeout=30)
+        assert result.returncode == 1
+        assert result.stderr == ""
+        assert json.loads(result.stdout) == {
+            "detail": "order must be a permutation of the domain",
+            "error": "domain_error",
+        }
+
     @pytest.mark.parametrize(
         "verb, n, within",
         [("profile", 1, False), ("age", 2, False), ("age", 2, True), ("age-sentence", 5, False)],

@@ -273,9 +273,16 @@ class TestSerialization:
             companion_from_dict(doc)
 
     def test_oversized_companion_is_parse_error(self):
-        # Too large for range(), which raises OverflowError.
+        # Past sys.maxsize, as for structures: no order could list it.
         with pytest.raises(ParseError):
             companion_from_dict({"size": 10**400, "order": [0]})
+
+    def test_order_of_another_length_is_refused_unlisted(self):
+        # The order's length is compared first, so neither domain is listed.
+        for size, order in ((10**12, (0,)), (-1, ())):
+            with pytest.raises(DomainError) as excinfo:
+                Companion(size, order, ())
+            assert str(excinfo.value) == "order must be a permutation of the domain"
 
     def test_oversized_structure_is_parse_error(self):
         # range() cannot index a size past sys.maxsize, so no search could run.

@@ -6,6 +6,8 @@ import pytest
 from chainlab import corpus, logic, morphism
 from chainlab.chainability import ChainWitness, age_representatives, is_chainable_with
 from chainlab.core import (
+    CACHE_SIZE,
+    Companion,
     Signature,
     companion_as_structure,
     companion_structure,
@@ -106,10 +108,18 @@ class TestLiteralType:
                 literal_type(x, point)
             assert str(info.value) == f"tuple entry {entry} leaves the domain of size 3"
 
+    def test_invalid_companion_refused(self):
+        # The marks are no initial segment, so positions do not tell them.
+        x = Companion(3, (0, 1, 2), (0, 2))
+        for point in ((2,), (1, 2)):
+            with pytest.raises(DomainError) as info:
+                literal_type(x, point)
+            assert str(info.value) == "companion violates the ordering axioms"
+
 
 class TestMemos:
-    """The type classes, the rendered-type cache and the companion structure
-    cache change no output, so these tests count their work."""
+    """The literal-type memo, the rendered-type cache and the companion
+    structure cache change no output, so these tests count their work."""
 
     @staticmethod
     def _all_types(x, arity):
@@ -150,18 +160,17 @@ class TestMemos:
         assert definition_formula(defs, "E", ("v0", "v1")) == first
         assert logic._rendered_type.cache_info()[:2] == (len(types), len(types))
 
-    def test_one_class_table_per_companion_shape(self):
+    def test_one_type_per_constant_count_and_position_word(self):
         # Every companion of 1..4 points, through both calls and arities 1
-        # and 2: the type table is built once per (size, constants, arity).
+        # and 2: each type is read once per (constant count, position word),
+        # shared by every companion size, so 5 counts times 4 + 16 words.
         sig = Signature((("E", 2), ("U", 1)))
-        logic._type_table.cache_clear()
-        shapes = set()
+        logic._standard_type.cache_clear()
         for m in range(1, 5):
             y = structure(m, {"E": itertools.product(range(m), repeat=2)}, sig)
             for x in every_companion(m):
                 assert apply_definitions(x, extract_definitions(x, y), sig) == y
-                shapes |= {(m, len(x.constants), 1), (m, len(x.constants), 2)}
-        assert logic._type_table.cache_info().misses == len(shapes) == 28
+        assert logic._standard_type.cache_info().misses == 5 * (4 + 16) == 100
 
 
 class TestExtraction:
@@ -462,15 +471,15 @@ class TestVerifyDefinitions:
         assert logic._satisfying_points.cache_info()[:2] == (types, types)
 
     def test_points_past_the_shared_words_cap_are_not_stored(self):
-        # 9**3 points exceed SHARED_WORDS_CAP (512): evaluated, never memoised.
+        # 9**3 points exceed SHARED_WORDS_CAP (512): their types stay within
+        # the memo's bound, and their point sets are evaluated, never memoised.
         rng = random.Random(9)
         x = random_companion(rng, 9, 1)
         sig = Signature((("T", 3),))
         defs = random_definition_set(rng, x, sig)
-        logic._type_table.cache_clear()
         y = apply_definitions(x, defs, sig)
         assert apply_definitions(x, extract_definitions(x, y), sig) == y
-        assert logic._type_table.cache_info().currsize == 0
+        assert logic._standard_type.cache_info().currsize <= CACHE_SIZE
         logic._satisfying_points.cache_clear()
         assert verify_definitions(x, y, defs)
         assert per_tuple_verdict(x, y, defs)

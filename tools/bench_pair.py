@@ -31,7 +31,7 @@ And it times the definability round trip of corpus-sweep: extract, apply
 and verify on every chainable witness of every binary class on <= 3 points,
 in a fresh process per side, ROUND_TRIP_PASSES times over.  It reports each
 pass's seconds, the ``cache_info()`` of the rendered-type, point-set,
-type-table and decision-table caches after the timed passes (on a side that
+literal-type and decision-table caches after the timed passes (on a side that
 has them), and the ``eval_formula`` calls of one more warm pass and of one
 cold pass, every ``core`` and ``logic`` cache cleared first.
 
@@ -138,7 +138,7 @@ def info(module, name):
 caches = {
     "render_cache": info(logic, "_rendered_type"),
     "points_cache": info(logic, "_satisfying_points"),
-    "classes_cache": info(logic, "_type_table"),
+    "types_cache": info(logic, "_standard_type"),
     "decision_cache": info(chainability, "_subset_types"),
 }
 calls = [0]
@@ -329,7 +329,7 @@ def main() -> None:
             "what": f"extract_definitions, apply_definitions and verify_definitions on every chainable witness "
             f"of every binary class on <= 3 points (the small corpus-sweep cases), in a fresh process: seconds of "
             f"each of {ROUND_TRIP_PASSES} passes; the cache_info() of logic._rendered_type ('render_cache') and "
-            f"logic._satisfying_points ('points_cache'), logic._type_table ('classes_cache') and "
+            f"logic._satisfying_points ('points_cache'), logic._standard_type ('types_cache') and "
             f"chainability._subset_types ('decision_cache') after the timed passes (null on a side without "
             f"that cache); eval_formula calls of one more warm pass and of one cold pass, every core and logic "
             f"cache cleared first",
