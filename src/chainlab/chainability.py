@@ -9,15 +9,16 @@ Both the decision ``is_chainable_with`` and the search ``iter_chain_orders``
 ``gpw.enumerate_chaining_orders``) test type purity: an order chains the
 structure exactly when, for each j up to the largest arity, all its j-subsets
 have one quantifier-free type over F (Fraisse; Frasnay), read by
-``core._subset_key`` as canonical-form keys are.  They share one purity step,
-``_extends_purely``, over one table of types per frozen set,
-``_subset_types``: a decided order is chainable exactly when it is a path of
-the search.  The decision keeps each structure's table per frozen set across
-calls, so the witnesses sharing a frozen set read each type once; the search
-builds its own.  The search also gives up on a complement of several 1-types
-and on a prefix some remaining element cannot extend; it lists the same
-orders, lexicographically, with no cap.  verify.py checks the decision
-against the full map oracle, which shares no code with it.
+``core._subset_key`` as canonical-form keys are.  They share one table per
+frozen set, ``_frozen_table``, with one cut any order needs (one 1-type, and
+the same two readings of every pair, over F), and one purity step,
+``_extends_purely``.  The decision keeps its tables across calls and stays
+polynomial: C(r, 2)·2 pair types, then C(r, j) subsets for each j.  The
+search builds its own table, drops a prefix some remaining element cannot
+extend, and lists exactly the orders the decision accepts, lexicographically,
+with no cap; one ternary triple among 10 points still makes it exponential.
+verify.py checks the decision against the full map oracle, which shares no
+code with it.
 """
 
 from __future__ import annotations
@@ -75,34 +76,30 @@ class ProfileReport(Record, namedtuple("ProfileReport", "values")):
         return {"values": list(self.values)}
 
 
-def _validate_witness(y: Structure, w: ChainWitness) -> None:
-    rest = list(w.rest_order)
-    if w.f_set & set(rest):
-        raise DomainError("witness parts overlap")
-    if len(w.f_set) + len(rest) != y.size or sorted(w.f_set | set(rest)) != list(range(y.size)):
-        raise DomainError("witness does not partition the domain")
-
-
 @lru_cache(maxsize=CACHE_SIZE)
-def _subset_types(y: Structure, fixed: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple]:
-    """The memoised type over ``fixed`` of a tuple of non-frozen elements:
-    ``core._subset_key(y.sig, y.relations, fixed + els)``, read straight off
-    ``y``'s relations with ``fixed`` followed by the tuple as the labels.
+def _frozen_table(y: Structure, f: frozenset[int]) -> tuple:
+    """The ascending complement S of ``f``, the largest arity, the memoised
+    type over F of a tuple of elements of S, and the cut: is S monomorphic
+    over F at j = 1 and 2 (one 1-type, one set of readings of a pair)?
 
-    The key holds every word over these elements, not only those that use
-    all chosen ones, and still decides purity as those would.  A word using
-    some chosen elements is a word of the sub-tuple they form; words over F
-    alone are the same for every tuple.  ``_extends_purely`` checks j = 1, 2,
-    ... in order, on prefixes themselves built purely (by the search, or by
-    the decision's in-order ``all``), so at level j every shorter sub-tuple
-    of either side already has the type of as many first prefix elements,
-    and two keys can differ only on words that use all j chosen elements.
+    A tuple's type is ``core._subset_key`` with the ascending F, then the
+    tuple, as the labels.  It holds every word over these elements, not only
+    those that use all chosen ones, and still decides purity as those would:
+    a word using some chosen elements is a word of the sub-tuple they form,
+    and words over F alone are the same for every tuple.  ``_extends_purely``
+    checks j = 1, 2, ... in order, on prefixes themselves built purely, so at
+    level j every shorter sub-tuple of either side already has the type of
+    as many first prefix elements, and two keys can differ only on words
+    that use all j chosen elements.  The cut holds under any chaining order:
+    its pairs, read in order, have one type t, so each reads t and t swapped.
 
     Memoised, for the decision: the witnesses of one structure share few
     frozen sets (a 4-point structure's 65 share 16), and each reads the
     types the others read.  The search calls ``__wrapped__`` for a table of
     its own, dropped when it ends: ``kernel`` tries many frozen sets, most
     of them once, so stored tables would mostly hold memory."""
+    fixed, bound = tuple(sorted(f)), y.sig.max_arity()
+    rest = tuple(e for e in range(y.size) if e not in f)
     types: dict[tuple[int, ...], tuple] = {}
 
     def type_of(els: tuple[int, ...]) -> tuple:
@@ -110,21 +107,27 @@ def _subset_types(y: Structure, fixed: tuple[int, ...]) -> Callable[[tuple[int, 
             types[els] = _subset_key(y.sig, y.relations, fixed + els)
         return types[els]
 
-    return type_of
+    readings = (frozenset((type_of(p), type_of(p[::-1]))) for p in itertools.combinations(rest, 2))
+    monomorphic = len({type_of((e,)) for e in rest}) <= 1 and (bound < 2 or len(set(readings)) <= 1)
+    return rest, bound, type_of, monomorphic
 
 
 def is_chainable_with(y: Structure, w: ChainWitness) -> bool:
     """Decide chainability of ``y`` over the witness's frozen set with
-    respect to its complement order: the order is chainable exactly when it
-    is a path of ``iter_chain_orders``' search, that is, when each of its
-    prefixes extends the one before purely (``_extends_purely``).
+    respect to its complement order: exactly when the complement passes the
+    cut of ``_frozen_table`` and the order is a path of the search, each of
+    its prefixes extending the one before purely (``_extends_purely``).
 
     Structures over the empty signature are chainable with any witness.
     """
-    _validate_witness(y, w)
-    rest, bound = w.rest_order, y.sig.max_arity()
-    type_of = _subset_types(y, tuple(sorted(w.f_set)))
-    return all(_extends_purely(type_of, rest[:i], bound) for i in range(1, len(rest) + 1))
+    f, rest = w
+    if not f.isdisjoint(rest):
+        raise DomainError("witness parts overlap")
+    # The lengths are compared first, so no huge domain is listed.
+    if len(f) + len(rest) != y.size or sorted(f.union(rest)) != list(range(y.size)):
+        raise DomainError("witness does not partition the domain")
+    _, bound, type_of, monomorphic = _frozen_table(y, f)
+    return monomorphic and all(_extends_purely(type_of, rest[:i], bound) for i in range(1, len(rest) + 1))
 
 
 def _extends_purely(
@@ -157,20 +160,17 @@ def iter_chain_orders(y: Structure, f_set: Iterable[int]) -> Iterator[tuple[int,
     Backtracks over the ascending remaining elements, growing the prefix by
     ``e`` only when it then extends purely (``_extends_purely``, j up to the
     largest arity).  Two cuts change neither the orders listed nor their
-    order: nothing comes out unless the complement has one 1-type over F
-    (each singleton of a chaining order has the type of the first), and a
-    prefix is dropped unless every remaining element extends it purely, since
-    each follows the whole prefix in any completion.  There is no cap.
+    order: nothing comes out unless the complement passes the frozen set's
+    cut (``_frozen_table``), and a prefix is dropped unless every remaining
+    element extends it purely, since each follows the whole prefix in any
+    completion.  There is no cap.
     """
-    f = _in_domain(y, f_set)
-    rest = [e for e in range(y.size) if e not in f]
-    bound = y.sig.max_arity()
-    type_of = _subset_types.__wrapped__(y, tuple(sorted(f)))
-    if len({type_of((e,)) for e in rest}) > 1:
+    rest, bound, type_of, monomorphic = _frozen_table.__wrapped__(y, _in_domain(y, f_set))
+    if not monomorphic:
         return
     prefix: list[int] = []
 
-    def extend(remaining: list[int]) -> Iterator[tuple[int, ...]]:
+    def extend(remaining: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if not remaining:
             yield tuple(prefix)
         if not all(_extends_purely(type_of, prefix + [e], bound) for e in remaining):

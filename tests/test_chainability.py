@@ -213,25 +213,45 @@ class TestKernel:
         assert report.min_size == 0
 
 
+def one_edge(n):
+    """One symmetric edge among n points: every point has one 1-type over
+    the empty set, but the pair {0, 1} reads otherwise than the rest."""
+    return structure(n, {"E": [(0, 1), (1, 0)]}, [("E", 2)])
+
+
+@pytest.fixture
+def steps(monkeypatch):
+    """Purity steps taken, counted through a wrapper; past 10,000 steps it
+    fails, so a search that lost a cut fails fast rather than hangs."""
+    calls = [0]
+    step = chainability._extends_purely
+
+    def counted(*args):
+        calls[0] += 1
+        assert calls[0] <= 10_000, "search step budget exceeded"
+        return step(*args)
+
+    monkeypatch.setattr(chainability, "_extends_purely", counted)
+    return calls
+
+
 class TestSearchWork:
-    """Purity steps the order search takes, counted through a wrapper: a
-    regression guard for the 1-type check and the forward check."""
-
-    @pytest.fixture
-    def steps(self, monkeypatch):
-        calls = [0]
-        step = chainability._extends_purely
-
-        def counted(*args):
-            calls[0] += 1
-            return step(*args)
-
-        monkeypatch.setattr(chainability, "_extends_purely", counted)
-        return calls
+    """Purity steps the order search takes: a regression guard for the
+    frozen set's cut and the forward check."""
 
     def test_mixed_one_types_take_no_step(self, steps):
         assert find_chain_order(corpus.unary_structure(8, [0, 1, 2, 3]), ()) is None
         assert steps[0] == 0
+
+    def test_mixed_pair_readings_take_no_step(self, steps):
+        assert find_chain_order(one_edge(12), ()) is None
+        assert steps[0] == 0
+
+    def test_one_edge_kernel_steps(self, steps):
+        # Only F = {0, 1} passes the cut; its ten isolated points chain.
+        report = kernel(one_edge(12), 2)
+        assert report.minimal_sets == (((0, 1), tuple(range(2, 12))),)
+        assert steps[0] == 55
 
     def test_cycle_kernel_steps(self, steps):
         report = kernel(corpus.cycle_structure(8), 8)
@@ -240,24 +260,41 @@ class TestSearchWork:
 
 
 class TestDecisionTables:
-    """The decision reads its subset types from one table per structure and
-    frozen set; the order search builds its own table on each call."""
+    """The decision reads its subset types and its cut from one table per
+    structure and frozen set; the order search builds its own table on each
+    call."""
 
     def test_one_table_per_frozen_set(self):
         y = corpus.structure_from_mask(4, corpus.binary_masks_up_to_iso(4)[100])
         witnesses = all_witnesses(4)
-        chainability._subset_types.cache_clear()
+        chainability._frozen_table.cache_clear()
         verdicts = [is_chainable_with(y, w) for w in witnesses]
-        info = chainability._subset_types.cache_info()
-        assert info.misses == len({w.f_set for w in witnesses}) == 16
-        assert info.hits == len(witnesses) - 16
+        info = chainability._frozen_table.cache_info()
+        assert (info.misses, info.hits) == (16, 49)
+        assert len({w.f_set for w in witnesses}) == 16 and len(witnesses) == 65
         assert verdicts == [chainable_full(y, w) for w in witnesses]
 
+    def test_a_failed_cut_takes_no_step(self, steps):
+        for y in (corpus.unary_structure(8, [0, 1, 2, 3]), one_edge(12)):
+            assert not is_chainable_with(y, ChainWitness.of([], range(y.size)))
+        assert steps[0] == 0
+
+    def test_rejected_witnesses_build_no_table(self):
+        y = structure(10**12, {}, [("E", 2)])
+        chainability._frozen_table.cache_clear()
+        for w, message in [
+            (ChainWitness.of([0], [0, 1]), "witness parts overlap"),
+            (ChainWitness.of([], [0, 1]), "witness does not partition the domain"),
+        ]:
+            with pytest.raises(DomainError, match=message):
+                is_chainable_with(y, w)
+        assert chainability._frozen_table.cache_info().currsize == 0
+
     def test_the_search_keeps_no_table(self):
-        chainability._subset_types.cache_clear()
+        chainability._frozen_table.cache_clear()
         assert kernel(corpus.cycle_structure(6), 6).min_size == 5
         assert find_chain_order(corpus.chain_structure(5), ()) == (0, 1, 2, 3, 4)
-        assert chainability._subset_types.cache_info().currsize == 0
+        assert chainability._frozen_table.cache_info().currsize == 0
 
 
 class TestDegenerateSizes:

@@ -81,6 +81,24 @@ class TestExitCodes:
             "error": "domain_error",
         }
 
+    def test_search_on_one_edge_among_twelve_points_answers(self, tmp_path):
+        # One symmetric edge: every point has one 1-type, but the pair {0, 1}
+        # reads otherwise than the others, so the search over the empty set
+        # stops at once; of the frozen sets up to size 2 only {0, 1} passes.
+        path = tmp_path / "one_edge.json"
+        doc = {"signature": [{"name": "E", "arity": 2}], "size": 12, "relations": {"E": [[0, 1], [1, 0]]}}
+        path.write_text(json.dumps(doc))
+        result = run_cli("find-order", "--structure", str(path), timeout=60)
+        assert (result.returncode, result.stdout, result.stderr) == (0, '{"order":null}\n', "")
+        first, second = (run_cli("kernel", "--structure", str(path), "--max-f", "2", timeout=60) for _ in "ab")
+        assert first.returncode == second.returncode == 0
+        assert first.stdout == second.stdout
+        assert json.loads(first.stdout) == {
+            "min_size": 2,
+            "minimal_sets": [{"f": [0, 1], "order": list(range(2, 12))}],
+            "search_bound": 2,
+        }
+
     def test_define_over_a_huge_declared_companion_is_domain_error(self, tmp_path):
         # The order lists one of 10**12 points; it is refused without listing
         # the domain.

@@ -13,6 +13,7 @@ from chainlab.core import (
     companion_structure,
     reduct,
     structure,
+    validate_companion_axioms,
     words,
 )
 from chainlab.errors import DomainError, NotSimplyDefinableError
@@ -109,12 +110,35 @@ class TestLiteralType:
             assert str(info.value) == f"tuple entry {entry} leaves the domain of size 3"
 
     def test_invalid_companion_refused(self):
-        # The marks are no initial segment, so positions do not tell them.
-        x = Companion(3, (0, 1, 2), (0, 2))
-        for point in ((2,), (1, 2)):
-            with pytest.raises(DomainError) as info:
-                literal_type(x, point)
-            assert str(info.value) == "companion violates the ordering axioms"
+        # Marks out of order, or no initial segment: positions do not tell
+        # them.  Extraction and application refuse them too.
+        y = structure(3, {"E": [(0, 1)]}, [("E", 2)])
+        defs = make_definition_set([("E", 2, {})])
+        for x in (Companion(3, (0, 1, 2), (1, 0)), Companion(3, (0, 1, 2), (0, 2))):
+            for call in (
+                lambda: literal_type(x, (2,)),
+                lambda: literal_type(x, (1, 2)),
+                lambda: extract_definitions(x, y),
+                lambda: apply_definitions(x, defs, y.sig),
+            ):
+                with pytest.raises(DomainError) as info:
+                    call()
+                assert str(info.value) == "companion violates the ordering axioms"
+
+    def test_companion_check_agrees_with_the_axioms(self):
+        # Every companion on up to 5 points, each order with each sequence
+        # of distinct marks, the violators above among them.
+        for m in range(6):
+            for order in itertools.permutations(range(m)):
+                for k in range(m + 1):
+                    for marks in itertools.permutations(range(m), k):
+                        x = Companion(m, order, marks)
+                        try:
+                            logic._require_valid_companion(x)
+                            valid = True
+                        except DomainError:
+                            valid = False
+                        assert valid == all(validate_companion_axioms(x))
 
 
 class TestMemos:

@@ -29,17 +29,23 @@ And it counts what each CLI verb loads: every case recorded in
 
 And it times the definability round trip of corpus-sweep: extract, apply
 and verify on every chainable witness of every binary class on <= 3 points,
-in a fresh process per side, ROUND_TRIP_PASSES times over.  It reports each
-pass's seconds, the ``cache_info()`` of the rendered-type, point-set,
-literal-type and decision-table caches after the timed passes (on a side that
-has them), and the ``eval_formula`` calls of one more warm pass and of one
-cold pass, every ``core`` and ``logic`` cache cleared first.
+ROUND_TRIP_PASSES times over in each process.  It reports the
+``cache_info()`` of the rendered-type, point-set, literal-type and
+decision-table caches after the timed passes (on a side that has them), and
+the ``eval_formula`` calls of one more warm pass and of one cold pass, every
+``core`` and ``logic`` cache cleared first.
 
 And it times the chainability decision of corpus-sweep: ``is_chainable_with``
-on every witness of every binary class on <= 3 points, in a fresh process per
-side, DECISION_PASSES times over, then counts the ``core._subset_key`` calls
-the decision makes in one more warm pass and in one cold pass, every
+on every witness of every binary class on <= 3 points, DECISION_PASSES times
+over in each process, then counts the ``core._subset_key`` calls the
+decision makes in one more warm pass and in one cold pass, every
 ``chainability`` cache cleared first.
+
+Each of these two probes runs in PROBE_RUNS fresh processes per side, the
+sides alternating, the first side swapping each run, since one process's
+seconds follow the host.  A side's ``seconds`` are the median pass of each of
+its processes and ``median_pass`` their median; its counts come from its
+first process.
 
 The JSON written has ``command``, ``host``, ``parent``, ``change``,
 ``src.lines``, ``profile_cache``, ``start_path``, ``round_trip``,
@@ -139,7 +145,7 @@ caches = {
     "render_cache": info(logic, "_rendered_type"),
     "points_cache": info(logic, "_satisfying_points"),
     "types_cache": info(logic, "_standard_type"),
-    "decision_cache": info(chainability, "_subset_types"),
+    "decision_cache": info(chainability, "_frozen_table"),
 }
 calls = [0]
 evaluate = logic.eval_formula
@@ -208,6 +214,7 @@ print(json.dumps({
 }))
 """
 DECISION_PASSES = 10
+PROBE_RUNS = 5
 
 
 def git(*args: str) -> str:
@@ -255,6 +262,20 @@ def probe(root: Path, code: str, *args: object) -> dict:
     argv = [sys.executable, "-c", code, str(root), *map(str, args)]
     out = subprocess.run(argv, cwd=root, check=True, stdout=subprocess.PIPE, text=True).stdout
     return json.loads(out.strip().splitlines()[-1])
+
+
+def probe_runs(roots: dict, code: str, *args: object) -> dict:
+    """Each side's report of PROBE_RUNS alternating runs of a timing probe:
+    the first run's counts, each run's median pass and their median."""
+    runs: dict = {side: [] for side in SIDES}
+    for i in range(PROBE_RUNS):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            runs[side].append(probe(roots[side], code, *args))
+    out = {}
+    for side, reports in runs.items():
+        seconds = [statistics.median(r["seconds"]) for r in reports]
+        out[side] = {**reports[0], "seconds": seconds, "median_pass": statistics.median(seconds)}
+    return out
 
 
 def start_path(root: Path) -> dict:
@@ -327,20 +348,24 @@ def main() -> None:
             print(f"start path {side}: modules {counts}, dataclasses in {loaded} cases", file=sys.stderr)
         doc["round_trip"] = {
             "what": f"extract_definitions, apply_definitions and verify_definitions on every chainable witness "
-            f"of every binary class on <= 3 points (the small corpus-sweep cases), in a fresh process: seconds of "
-            f"each of {ROUND_TRIP_PASSES} passes; the cache_info() of logic._rendered_type ('render_cache') and "
+            f"of every binary class on <= 3 points (the small corpus-sweep cases), {ROUND_TRIP_PASSES} passes in each "
+            f"of {PROBE_RUNS} fresh processes per side, the sides alternating: each process's median pass "
+            f"('seconds') and their median ('median_pass'); the first process's cache_info() of "
+            f"logic._rendered_type ('render_cache') and "
             f"logic._satisfying_points ('points_cache'), logic._standard_type ('types_cache') and "
-            f"chainability._subset_types ('decision_cache') after the timed passes (null on a side without "
+            f"chainability._frozen_table ('decision_cache') after the timed passes (null on a side without "
             f"that cache); eval_formula calls of one more warm pass and of one cold pass, every core and logic "
             f"cache cleared first",
-            **{side: probe(roots[side], ROUND_TRIP_PROBE, ROUND_TRIP_PASSES) for side in SIDES},
+            **probe_runs(roots, ROUND_TRIP_PROBE, ROUND_TRIP_PASSES),
         }
         print(f"round trip: {doc['round_trip']}", file=sys.stderr)
         doc["decision"] = {
-            "what": f"is_chainable_with on every witness of every binary class on <= 3 points, in a fresh "
-            f"process: seconds of each of {DECISION_PASSES} passes; chainability._subset_key calls of one more "
-            f"warm pass and of one cold pass, every chainability cache cleared first",
-            **{side: probe(roots[side], DECISION_PROBE, DECISION_PASSES) for side in SIDES},
+            "what": f"is_chainable_with on every witness of every binary class on <= 3 points, {DECISION_PASSES} "
+            f"passes in each of {PROBE_RUNS} fresh processes per side, the sides alternating: each process's "
+            f"median pass ('seconds') and their median ('median_pass'); the first process's "
+            f"chainability._subset_key calls of one more warm pass and of one cold pass, every chainability "
+            f"cache cleared first",
+            **probe_runs(roots, DECISION_PROBE, DECISION_PASSES),
         }
         print(f"decision: {doc['decision']}", file=sys.stderr)
         doc["workloads"] = {}
