@@ -205,11 +205,14 @@ def induced_substructure(y: Structure, h: Iterable[int]) -> Structure:
 
 def reduct(y: Structure, keep: Iterable[str]) -> Structure:
     """Drop every relation symbol not in ``keep``; signature order is
-    preserved.  Unknown names raise DomainError."""
+    preserved, and ``y`` itself is returned when every symbol is kept.
+    Unknown names raise DomainError."""
     keep_set = set(keep)
     unknown = keep_set - set(y.sig.names)
     if unknown:
         raise DomainError(f"unknown symbols in reduct: {sorted(unknown)}")
+    if len(keep_set) == len(y.sig.symbols):
+        return y
     pairs = tuple(p for p in y.sig.symbols if p[0] in keep_set)
     rels = tuple(
         y.relations[i] for i, p in enumerate(y.sig.symbols) if p[0] in keep_set

@@ -12,6 +12,7 @@ formula is a separate deterministic step.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import namedtuple
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -321,6 +322,14 @@ def _satisfying_points(x: Companion, t: LiteralType) -> tuple[tuple[int, ...], .
 # Age sentences
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _literal(symbol: str | None, args: tuple[str, ...], holds: bool) -> Formula:
+    """The one shared node of a literal: ``Rel(symbol, args)``, or
+    ``Eq(*args)`` when ``symbol`` is None, negated unless it ``holds``."""
+    atom = Eq(*args) if symbol is None else Rel(symbol, args)
+    return atom if holds else Not(atom)
+
+
 def _literal_conjunction(
     k: Structure, keep: Sequence[str], names: Sequence[str]
 ) -> Formula:
@@ -329,10 +338,10 @@ def _literal_conjunction(
 
     Literal order: negated equalities (all domain elements are distinct),
     then relational literals per kept symbol in signature order, index
-    tuples lexicographic.
+    tuples lexicographic.  Each literal is the shared node of ``_literal``.
     """
     lits: list[Formula] = [
-        Not(Eq(names[i], names[j]))
+        _literal(None, (names[i], names[j]), False)
         for i, j in itertools.combinations(range(k.size), 2)
     ]
     keep_set = set(keep)
@@ -340,18 +349,20 @@ def _literal_conjunction(
         if sym not in keep_set:
             continue
         for idx in itertools.product(range(k.size), repeat=arity):
-            atom = Rel(sym, tuple(names[i] for i in idx))
-            lits.append(atom if idx in tuples else Not(atom))
+            lits.append(_literal(sym, tuple(names[i] for i in idx), idx in tuples))
     if not lits:
         # Size-1 member with empty kept signature: no literal distinguishes
         # anything, so the type is the trivially true description.
-        return Eq(names[0], names[0])
+        return _literal(None, (names[0], names[0]), True)
     return and_all(lits)
 
 
-def _match_formula(k: Structure, keep: Sequence[str], variables: list[str]) -> Formula:
+@lru_cache(maxsize=CACHE_SIZE)
+def _match_formula(k: Structure, keep: tuple[str, ...], variables: tuple[str, ...]) -> Formula:
     """Disjunction over all enumerations: some permutation of the variables
-    satisfies the member's literal description."""
+    satisfies the member's literal description.  Memoised per member, kept
+    symbols and variables while its size! conjunctions hold at most
+    SHARED_WORDS_CAP literals in all, each a shared node."""
     disjuncts = []
     for pi in itertools.permutations(range(k.size)):
         names = [variables[pi[i]] for i in range(k.size)]
@@ -410,8 +421,11 @@ def age_sentence(family: Sequence[Structure], keep: Iterable[str]) -> Formula:
 
 def _age_sentence(family: Sequence[Structure], keep_list: list[str]) -> Formula:
     """``age_sentence`` of a family that ``_validate_family`` accepted."""
-    variables = [f"v{i}" for i in range(family[0].size)]
-    matchers = [_match_formula(k, keep_list, variables) for k in family]
+    n, keep = family[0].size, tuple(keep_list)
+    variables = tuple(f"v{i}" for i in range(n))
+    width = math.comb(n, 2) + sum(n**arity for name, arity in family[0].sig.symbols if name in keep)
+    match = _match_formula if math.factorial(n) * width <= SHARED_WORDS_CAP else _match_formula.__wrapped__
+    matchers = [match(k, keep, variables) for k in family]
     parts: list[Formula] = [_closed(Exists, variables, phi) for phi in matchers]
     disjunction = or_all(matchers)
     guard = distinctness(variables)

@@ -23,7 +23,7 @@ from collections import namedtuple
 from functools import lru_cache
 from typing import Iterator
 
-from .core import CACHE_SIZE, Record, Signature, Structure, _subset_key, words
+from .core import CACHE_SIZE, SHARED_WORDS_CAP, Record, Signature, Structure, _subset_key, words
 from .errors import DomainError, UnsupportedSizeError
 
 CANONICAL_SIZE_CAP = 8
@@ -317,20 +317,27 @@ def substructure_forms(y: Structure, n: int) -> dict[tuple[int, ...], bytes]:
     read off ``y`` (``core._subset_key``); no substructure is built.  Forms are
     cached under invariant keys (``_subset_form``), so isomorphic subsets
     mostly share one entry, behind a cache of plain keys, so a repeated
-    subset is not relabeled again.  Raises DomainError for n < 1, and
-    UnsupportedSizeError for CANONICAL_SIZE_CAP < n <= size or for more than
-    SUBSET_BUDGET subsets; a larger n has no subsets."""
+    subset is not relabeled again.  The forms' tuple is memoised per (structure,
+    n) up to SHARED_WORDS_CAP subsets, each call getting a fresh dict.  Raises
+    DomainError for n < 1, and UnsupportedSizeError for CANONICAL_SIZE_CAP < n
+    <= size or for more than SUBSET_BUDGET subsets; a larger n has no subsets."""
     if n < 1:
         raise DomainError(f"substructure size must be positive; got {n}")
     if n > y.size:
         return {}
     _check_form_size(n)
-    if math.comb(y.size, n) > SUBSET_BUDGET:
+    count = math.comb(y.size, n)
+    if count > SUBSET_BUDGET:
         raise UnsupportedSizeError(
             f"substructure forms are capped at {SUBSET_BUDGET} subsets; "
             f"a domain of size {y.size} has more of size {n}"
         )
-    return {
-        h: _subset_form(y.sig, n, _subset_key(y.sig, y.relations, h))
-        for h in itertools.combinations(range(y.size), n)
-    }
+    listing = _listed_forms if count <= SHARED_WORDS_CAP else _listed_forms.__wrapped__
+    return dict(zip(itertools.combinations(range(y.size), n), listing(y, n)))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _listed_forms(y: Structure, n: int) -> tuple[bytes, ...]:
+    """The forms of ``substructure_forms(y, n)``, in subset order."""
+    keys = (_subset_key(y.sig, y.relations, h) for h in itertools.combinations(range(y.size), n))
+    return tuple(_subset_form(y.sig, n, key) for key in keys)

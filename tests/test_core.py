@@ -125,6 +125,10 @@ class TestReduct:
     def test_keep_all_is_identity(self):
         y = structure(3, {"E": [(0, 1)], "U": [(2,)]}, [("E", 2), ("U", 1)])
         assert reduct(y, ["E", "U"]) == y
+        assert reduct(y, y.sig.names) is y
+        assert reduct(y, ["U", "E", "U"]) is y
+        with pytest.raises(DomainError):
+            reduct(y, [*y.sig.names, "missing"])
 
     def test_keep_none_is_pure_set(self):
         y = structure(3, {"E": [(0, 1)]}, [("E", 2)])

@@ -642,6 +642,66 @@ class TestAgeSentence:
                     assert check_age_sentence_agreement(family, keep, y)
 
 
+def clear_sentence_memos():
+    for memo in (logic._match_formula, logic._literal, morphism._listed_forms):
+        memo.cache_clear()
+
+
+class TestSentenceMemos:
+    def test_memoised_sentence_matches_a_cold_build(self):
+        # Each sentence is built with warm memos, then again with them
+        # cleared: one tree and one text.  Both kept signatures of one
+        # family come in turn, so a matcher keyed without them is caught.
+        families = {
+            age_representatives(y, n): None
+            for m in range(1, 5)
+            for y in corpus.all_binary_structures(m)
+            for n in range(1, min(3, m) + 1)
+        }
+        for family in families:
+            for keep in ([], ["E"]):
+                warm = logic._age_sentence(family, keep)
+                clear_sentence_memos()
+                cold = logic._age_sentence(family, keep)
+                assert warm == cold, (family, keep)
+                assert format_formula(warm) == format_formula(cold)
+
+    def test_one_matcher_per_member_and_kept_symbols(self):
+        families = [
+            age_representatives(y, n)
+            for y in (*corpus.all_binary_structures(3), corpus.cycle_structure(5))
+            for n in (1, 2, 3)
+        ]
+        clear_sentence_memos()
+        for family in families * 2:
+            for keep in ([], ["E"]):
+                logic._age_sentence(family, keep)
+        pairs = {(k, keep) for family in families for k in family for keep in ((), ("E",))}
+        info = logic._match_formula.cache_info()
+        assert (info.misses, info.currsize) == (len(pairs), len(pairs))
+
+    def test_large_matchers_are_not_stored(self):
+        # 4! conjunctions of 6 distinctness and 16 edge literals pass
+        # SHARED_WORDS_CAP; without the edge literals they do not.
+        member = corpus.path_structure(4)
+        clear_sentence_memos()
+        assert age_sentence([member], ["E"]) == age_sentence([member], ["E"])
+        assert logic._match_formula.cache_info().currsize == 0
+        age_sentence([member], [])
+        assert logic._match_formula.cache_info().currsize == 1
+
+    def test_literals_are_shared_nodes(self):
+        # Two builds of one matcher hold the same 6 x 12 literal nodes.
+        member, variables = corpus.path_structure(3), ("v0", "v1", "v2")
+        clear_sentence_memos()
+        first = logic._match_formula(member, ("E",), variables)
+        logic._match_formula.cache_clear()
+        second = logic._match_formula(member, ("E",), variables)
+        assert first == second and first is not second
+        pairs = [(a, b) for c, d in zip(first.parts, second.parts) for a, b in zip(c.parts, d.parts)]
+        assert len(pairs) == 6 * 12 and all(a is b for a, b in pairs)
+
+
 class TestQuotientTranslate:
     SIG = Signature((("E", 2), ("Edup", 2)))
 

@@ -9,6 +9,7 @@ import pytest
 from conftest import five_ary_structures
 
 from chainlab import core, corpus, morphism
+from chainlab.chainability import check_trace_isomorphism, is_chainable_with
 from chainlab.core import Signature, induced_substructure, structure
 from chainlab.errors import DomainError, UnsupportedSizeError
 from chainlab.logic import apply_definitions
@@ -21,6 +22,7 @@ from chainlab.morphism import (
     substructure_forms,
 )
 from chainlab.verify import (
+    all_witnesses,
     canonical_form_full,
     random_companion,
     random_definition_set,
@@ -228,6 +230,7 @@ class TestCanonicalForm:
             y = apply_definitions(x, random_definition_set(rng, x, sig), sig)
             inputs += [(y, n) for n in range(1, 7)]
         for y, n in inputs:
+            morphism._listed_forms.cache_clear()
             morphism._subset_form.cache_clear()
             morphism._canonical_form_cached.cache_clear()
             forms = substructure_forms(y, n)
@@ -276,6 +279,40 @@ class TestCanonicalForm:
         with pytest.raises(UnsupportedSizeError):
             substructure_forms(structure(2000, {"E": []}, [("E", 2)]), 2)
         assert substructure_forms(huge, 10**12 + 1) == {}
+
+    def test_returned_forms_are_a_fresh_dict(self):
+        y = corpus.cycle_structure(5)
+        first = substructure_forms(y, 2)
+        expected = dict(first)
+        first[(0, 1)] = b"mutated"
+        del first[(3, 4)]
+        assert substructure_forms(y, 2) == expected
+
+    def test_one_listing_per_structure_and_size(self):
+        # The trace checks of every chainable witness of one structure at
+        # one size read one listing; each structure of one signature and
+        # size gets its own.
+        ys = corpus.all_binary_structures(3)
+        morphism._listed_forms.cache_clear()
+        for y in ys:
+            witnesses = [w for w in all_witnesses(3) if is_chainable_with(y, w)]
+            for n in (1, 2, 3):
+                assert all(check_trace_isomorphism(y, w, n) for w in witnesses)
+        assert morphism._listed_forms.cache_info().misses == 3 * len(ys)
+        for y in ys:
+            subsets = itertools.combinations(range(3), 2)
+            assert list(substructure_forms(y, 2).values()) == [
+                canonical_form(induced_substructure(y, h)) for h in subsets
+            ]
+
+    def test_large_listings_are_not_stored(self):
+        # 12 choose 6 = 924 subsets pass SHARED_WORDS_CAP; 12 choose 2 do not.
+        y = structure(12, {"E": [(0, 1), (1, 2), (5, 9)]}, [("E", 2)])
+        morphism._listed_forms.cache_clear()
+        assert len(substructure_forms(y, 6)) == 924
+        assert morphism._listed_forms.cache_info().currsize == 0
+        assert len(substructure_forms(y, 2)) == 66
+        assert morphism._listed_forms.cache_info().currsize == 1
 
     def test_matches_full_scan(self):
         inputs = [y for m in range(5) for y in corpus.all_binary_structures(m)]

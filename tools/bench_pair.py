@@ -41,7 +41,14 @@ over in each process, then counts the ``core._subset_key`` calls the
 decision makes in one more warm pass and in one cold pass, every
 ``chainability`` cache cleared first.
 
-Each of these two probes runs in PROBE_RUNS fresh processes per side, the
+And it times the age-sentence checks of criterion 5:
+``verify.age_sentence_check`` over every binary class on <= 4 points, with
+criterion 5's seed and foreign fraction, AGE_SENTENCE_PASSES times over in
+each process.  It reports the ``cache_info()`` of the matcher, literal and
+listing memos after the first pass (null on a side without them), so their
+hits are seen to come from one pass, not from a replay.
+
+Each of these three probes runs in PROBE_RUNS fresh processes per side, the
 sides alternating, the first side swapping each run, since one process's
 seconds follow the host.  A side's ``seconds`` are the median pass of each of
 its processes and ``median_pass`` their median; its counts come from its
@@ -49,8 +56,8 @@ first process.
 
 The JSON written has ``command``, ``host``, ``parent``, ``change``,
 ``src.lines``, ``profile_cache``, ``start_path``, ``round_trip``,
-``decision``, ``workloads`` (every pair's results, keys in the order the sides ran) and
-``medians`` (per side and metric).
+``decision``, ``age_sentence``, ``workloads`` (every pair's results, keys in
+the order the sides ran) and ``medians`` (per side and metric).
 """
 
 from __future__ import annotations
@@ -214,6 +221,39 @@ print(json.dumps({
 }))
 """
 DECISION_PASSES = 10
+
+# Runs in a side's tree: criterion 5's age-sentence checks over the binary
+# classes on <= 4 points, timed pass by pass, with the memos' counts after
+# the first pass.
+AGE_SENTENCE_PROBE = """
+import json, random, sys, time
+root, passes = sys.argv[1], int(sys.argv[2])
+sys.path.insert(0, root + "/src")
+from chainlab import corpus, logic, morphism, verify
+structures = [y for m in range(5) for y in corpus.all_binary_structures(m)]
+
+def info(module, name):
+    cache = getattr(getattr(module, name, None), "cache_info", None)
+    return cache()._asdict() if cache else None
+
+seconds, caches = [], {}
+for _ in range(passes):
+    start = time.perf_counter()
+    outcomes = list(verify.age_sentence_check(structures, rng=random.Random(5), foreign_fraction=0.15))
+    seconds.append(round(time.perf_counter() - start, 4))
+    caches = caches or {
+        "match_cache": info(logic, "_match_formula"),
+        "literal_cache": info(logic, "_literal"),
+        "listing_cache": info(morphism, "_listed_forms"),
+    }
+print(json.dumps({
+    "checks": len(outcomes),
+    "ok": all(o is True for o in outcomes),
+    "seconds": seconds,
+    **caches,
+}))
+"""
+AGE_SENTENCE_PASSES = 3
 PROBE_RUNS = 5
 
 
@@ -368,6 +408,16 @@ def main() -> None:
             **probe_runs(roots, DECISION_PROBE, DECISION_PASSES),
         }
         print(f"decision: {doc['decision']}", file=sys.stderr)
+        doc["age_sentence"] = {
+            "what": f"verify.age_sentence_check over every binary class on <= 4 points with criterion 5's seed (5) "
+            f"and foreign fraction (0.15), {AGE_SENTENCE_PASSES} passes in each of {PROBE_RUNS} fresh processes "
+            f"per side, the sides alternating: each process's median pass ('seconds') and their median "
+            f"('median_pass'); the first process's cache_info() of logic._match_formula ('match_cache'), "
+            f"logic._literal ('literal_cache') and morphism._listed_forms ('listing_cache') after its first "
+            f"pass (null on a side without that memo)",
+            **probe_runs(roots, AGE_SENTENCE_PROBE, AGE_SENTENCE_PASSES),
+        }
+        print(f"age sentence: {doc['age_sentence']}", file=sys.stderr)
         doc["workloads"] = {}
         for workload in workloads:
             pairs = []
