@@ -650,21 +650,22 @@ def clear_sentence_memos():
 class TestSentenceMemos:
     def test_memoised_sentence_matches_a_cold_build(self):
         # Each sentence is built with warm memos, then again with them
-        # cleared: one tree and one text.  Both kept signatures of one
-        # family come in turn, so a matcher keyed without them is caught.
-        families = {
-            age_representatives(y, n): None
-            for m in range(1, 5)
-            for y in corpus.all_binary_structures(m)
-            for n in range(1, min(3, m) + 1)
-        }
-        for family in families:
+        # cleared: one tree, and for the families of classes on <= 3 points
+        # one text (equal trees print alike; printing the rest would double
+        # the test's time).  Both kept signatures of one family come in
+        # turn, so a matcher keyed without them is caught.
+        families = {}  # each distinct family, with the least class size giving it
+        for m in range(1, 5):
+            for y in corpus.all_binary_structures(m):
+                for n in range(1, min(3, m) + 1):
+                    families.setdefault(age_representatives(y, n), m)
+        for family, m in families.items():
             for keep in ([], ["E"]):
                 warm = logic._age_sentence(family, keep)
                 clear_sentence_memos()
                 cold = logic._age_sentence(family, keep)
                 assert warm == cold, (family, keep)
-                assert format_formula(warm) == format_formula(cold)
+                assert m == 4 or format_formula(warm) == format_formula(cold)
 
     def test_one_matcher_per_member_and_kept_symbols(self):
         families = [

@@ -207,7 +207,9 @@ class TestCanonicalForm:
                     key = core._subset_key(y.sig, y.relations, h)
                     assert morphism._members(y.sig, n, key) == [sorted(r) for r in sub.relations]
                     direct[h] = canonical_form(sub)
-                # Searched again, not read from the entries canonical_form left.
+                # Searched again, not read from the entries canonical_form
+                # or an earlier listing left.
+                morphism._listed_forms.cache_clear()
                 morphism._subset_form.cache_clear()
                 morphism._canonical_form_cached.cache_clear()
                 forms = substructure_forms(y, n)
