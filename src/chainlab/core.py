@@ -168,7 +168,8 @@ def _subset_key(sig: Signature, relations: Sequence[frozenset], hs: Sequence[int
     i-th word is a member), or, past SHARED_WORDS_CAP words, the sorted
     relabeled members, read from the words or the members, whichever are
     fewer.  Chainability types and canonical-form cache keys are both these
-    keys; they pin no structure."""
+    keys; they pin no structure.  ``_members`` is the one decoder of the
+    format, so no other module reads a key's parts."""
     key = []
     for (_, arity), tuples in zip(sig.symbols, relations):
         if len(hs) ** arity <= SHARED_WORDS_CAP:
@@ -184,23 +185,27 @@ def _subset_key(sig: Signature, relations: Sequence[frozenset], hs: Sequence[int
     return tuple(key)
 
 
+def _members(sig: Signature, n: int, key: tuple) -> list[list[tuple[int, ...]]]:
+    """Each relation's members, in lex order, of the substructure on range(n)
+    whose ``_subset_key`` is ``key``."""
+    return [
+        list(part) if isinstance(part, tuple)
+        else [w for i, w in enumerate(words(n, arity)) if part >> i & 1]
+        for part, (_, arity) in zip(key, sig.symbols)
+    ]
+
+
 def induced_substructure(y: Structure, h: Iterable[int]) -> Structure:
     """Restrict ``y`` to the subset ``h``, relabeled order-preservingly onto
-    {0, ..., |h|-1}.
-
-    Raises DomainError for an empty subset or out-of-range elements.
-    """
+    {0, ..., |h|-1}, by decoding (``_members``) the subset's ``_subset_key``.
+    Raises DomainError for an empty subset or out-of-range elements."""
     hs = sorted(set(h))
     if not hs:
         raise DomainError("induced substructure of the empty set is not defined")
     if hs[0] < 0 or hs[-1] >= y.size:
         raise DomainError(f"subset {hs} leaves the domain of size {y.size}")
-    relabel = {e: i for i, e in enumerate(hs)}
-    rels = tuple(
-        frozenset(tuple(relabel[x] for x in t) for t in tuples if all(x in relabel for x in t))
-        for tuples in y.relations
-    )
-    return Structure(y.sig, len(hs), rels)
+    members = _members(y.sig, len(hs), _subset_key(y.sig, y.relations, hs))
+    return Structure(y.sig, len(hs), tuple(map(frozenset, members)))
 
 
 def reduct(y: Structure, keep: Iterable[str]) -> Structure:

@@ -180,8 +180,9 @@ def classify_family(fam: ChainOrderFamily) -> GpwClassification:
                 evidence=evidence,
             )
 
+    # Not empty: a family equal to this closure returned RotationFamily above.
     witness_pool = order_set.symmetric_difference(rotation_closure(orders[0]))
-    evidence["witness"] = list(min(witness_pool)) if witness_pool else list(orders[0])
+    evidence["witness"] = list(min(witness_pool))
     return GpwClassification("Unmatched", evidence=evidence)
 
 

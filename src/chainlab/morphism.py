@@ -8,8 +8,9 @@ bound over ordered partitions, for structures of bounded size; the exhaustive
 scan they replace is ``verify.canonical_form_full``.  A form is the UTF-8
 bytes of ``repr((size, symbols, relations))``, the relations being the least
 relabeled ones, so forms compare, hash and ``.hex()`` as ``bytes``.  Forms are
-cached by ``core._subset_key``, the type chainability compares too, which is
-the only writer of keys; ``_members`` is their only reader here.
+cached by ``core._subset_key``, the type chainability compares too; ``core``
+writes keys and decodes them (``core._members``), and this module reads them
+only through that decoder.
 ``canonical_form`` and ``substructure_forms`` both key a subset's elements in
 an isomorphism-invariant order (``_subset_form``), so isomorphic subsets and
 relabeled copies mostly share one entry.
@@ -23,7 +24,7 @@ from collections import namedtuple
 from functools import lru_cache
 from typing import Iterator
 
-from .core import CACHE_SIZE, SHARED_WORDS_CAP, Record, Signature, Structure, _subset_key, words
+from .core import CACHE_SIZE, SHARED_WORDS_CAP, Record, Signature, Structure, _members, _subset_key
 from .errors import DomainError, UnsupportedSizeError
 
 CANONICAL_SIZE_CAP = 8
@@ -143,16 +144,6 @@ def _check_form_size(n: int) -> None:
         raise UnsupportedSizeError(
             f"canonical_form is exhaustive and capped at size {CANONICAL_SIZE_CAP}; got {n}"
         )
-
-
-def _members(sig: Signature, n: int, key: tuple) -> list[list[tuple[int, ...]]]:
-    """Each relation's members, in lex order, of the substructure on range(n)
-    whose ``core._subset_key`` is ``key``."""
-    return [
-        list(part) if isinstance(part, tuple)
-        else [w for i, w in enumerate(words(n, arity)) if part >> i & 1]
-        for part, (_, arity) in zip(key, sig.symbols)
-    ]
 
 
 @lru_cache(maxsize=CACHE_SIZE)

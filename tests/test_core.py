@@ -1,8 +1,10 @@
 import copy
 import itertools
 import pickle
+import random
 
 import pytest
+from conftest import five_ary_structures
 
 from chainlab import corpus
 from chainlab.chainability import ChainWitness, KernelReport, ProfileReport
@@ -92,16 +94,35 @@ class TestInducedSubstructure:
                             )
 
     def test_matches_tuple_by_tuple_restriction(self):
-        # Small relations are read off the shared word table, large ones
-        # relabeled tuple by tuple; both must agree with the definition.
-        for y in (corpus.cyclic_order_structure(8), corpus.cycle_structure(30)):
-            for h in (range(0, y.size, 2), range(1, y.size), [0, 3, 4, 7]):
+        # A restriction decodes its subset key, so each format is met: bit
+        # masks over the label words (the cyclic order, 2-subsets of the
+        # 9-ary relation), members read from the words (4-subsets of the
+        # dense 5-ary relation) and members read from the tuples (C30, the
+        # sparse 9-ary relation, the 10**12-point domain, which no scan of
+        # the domain or of the words would finish).  The relabel kept here
+        # is the oracle.
+        rng = random.Random(5)
+        pools = ([0, 1], [2, 5, 7], range(8))
+        sparse = [tuple(rng.choice(pool) for _ in range(9)) for pool in pools for _ in range(4)]
+        huge = 10**12
+        far = [(0, huge - 1), (5, 7), (huge - 1, huge - 1)]
+        cases = [
+            (corpus.cyclic_order_structure(8), (range(0, 8, 2), range(1, 8), [0, 3, 4, 7])),
+            (corpus.cycle_structure(30), (range(0, 30, 2), range(1, 30), [0, 3, 4, 7])),
+            (five_ary_structures()[-1], ([0, 1, 2, 4], [1, 2, 3, 4], range(5))),
+            (structure(8, {"R": sparse}, [("R", 9)]), ([0, 1], [2, 5, 7], range(8))),
+            (structure(huge, {"E": far}, [("E", 2)]), ([0, 7, huge - 1], [*range(999), huge - 1])),
+        ]
+        for y, subsets in cases:
+            for h in subsets:
                 hs = sorted(h)
+                inside = set(hs)
                 expected = {
-                    name: {tuple(hs.index(x) for x in t) for t in y.relation(name) if set(t) <= set(hs)}
+                    name: {tuple(hs.index(x) for x in t) for t in y.relation(name) if inside.issuperset(t)}
                     for name in y.sig.names
                 }
                 sub = induced_substructure(y, h)
+                assert sub.size == len(hs)
                 assert {name: set(sub.relation(name)) for name in y.sig.names} == expected
 
 

@@ -154,6 +154,21 @@ class TestClassification:
         assert "RotationFamily" in cls.evidence["also_matches"]
         assert "BoundedPerturbation" in cls.evidence["also_matches"]
 
+    def test_unmatched_family_reports_a_witness(self):
+        # Closed under reversal, but neither a rotation closure (0123 has
+        # eight rotations and reverses) nor a perturbation of one base.  The
+        # witness is the least order in exactly one of the family and the
+        # rotation closure of its least order: 0213.
+        fam = ChainOrderFamily(frozenset(), ((0, 1, 2, 3), (3, 2, 1, 0), (0, 2, 1, 3), (3, 1, 2, 0)))
+        cls = classify_family(fam)
+        assert cls.tag == "Unmatched"
+        assert cls.base is None and cls.k_set is None and cls.h_set is None
+        assert cls.evidence["witness"] == [0, 2, 1, 3]
+        assert cls.evidence["order_count"] == 4
+        assert cls.evidence["also_matches"] == []
+        with pytest.raises(DomainError):
+            expand_classification(cls, range(4))
+
     def test_base_and_reverse_prefer_perturbation_on_three_points(self):
         # The rotation closure of a 3-point order has six members, so a
         # {base, base*} family falls through to the perturbation shape with

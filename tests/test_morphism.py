@@ -203,10 +203,14 @@ class TestCanonicalForm:
             for n in range(1, y.size + 2):  # n = size + 1 has no subsets
                 direct = {}
                 for h in itertools.combinations(range(y.size), n):
-                    sub = induced_substructure(y, h)
+                    # The key's decoder against a plain relabel.
+                    relabeled = [
+                        sorted(tuple(map(h.index, t)) for t in ts if set(h).issuperset(t))
+                        for ts in y.relations
+                    ]
                     key = core._subset_key(y.sig, y.relations, h)
-                    assert morphism._members(y.sig, n, key) == [sorted(r) for r in sub.relations]
-                    direct[h] = canonical_form(sub)
+                    assert core._members(y.sig, n, key) == relabeled
+                    direct[h] = canonical_form(induced_substructure(y, h))
                 # Searched again, not read from the entries canonical_form
                 # or an earlier listing left.
                 morphism._listed_forms.cache_clear()
